@@ -1,6 +1,5 @@
 # Tier-1 gate: `make check` is what CI (and every PR) must keep green.
-# It vets, builds and tests every package, then re-runs the concurrent
-# packages (the parallel experiment session and the interpreter it drives)
+# It vets, builds and tests every package, then re-runs the whole tree
 # under the race detector in short mode.
 #
 # `make check-deep` is the slower tier-2 gate: the whole tree race-enabled
@@ -17,7 +16,7 @@ GO ?= go
 check: vet build test race
 
 check-deep: check
-	$(GO) test -race -shuffle=on ./...
+	$(MAKE) race-full
 	$(MAKE) fuzz-smoke
 	$(MAKE) simcheck
 	$(MAKE) chaos
@@ -44,18 +43,10 @@ test:
 # reason as `test`: the server/client/chaos suites must not grow order
 # dependencies.
 race:
-	$(GO) test -race -short -shuffle=on ./internal/experiments/... ./internal/machine/... \
-		./internal/server/... ./internal/client/... ./internal/chaos/... \
-		./internal/simcheck/... ./internal/cache/... ./internal/hwpf/... \
-		./internal/walstore/... ./internal/ring/... ./internal/api/... \
-		./internal/blpath/...
+	$(GO) test -race -short -shuffle=on ./...
 
 race-full:
-	$(GO) test -race -shuffle=on ./internal/experiments/... ./internal/machine/... \
-		./internal/server/... ./internal/client/... ./internal/chaos/... \
-		./internal/simcheck/... ./internal/cache/... ./internal/hwpf/... \
-		./internal/walstore/... ./internal/ring/... ./internal/api/... \
-		./internal/blpath/...
+	$(GO) test -race -shuffle=on ./...
 
 # Short coverage-guided fuzzing runs seeded from testdata/fuzz corpora.
 # ~10s per target: enough to exercise the mutator, not a soak test.
@@ -71,7 +62,9 @@ simcheck:
 	$(GO) run ./cmd/simcheck -n 8
 
 # Interpreter micro-benchmarks, diffed against the committed baseline:
-# fails on a >10% ns/op regression. Appends to BENCH_history.jsonl but
+# fails on a >10% ns/op regression when run on the baseline's host (same
+# cpu, Go version, OS and arch); against another host's baseline it prints
+# the differing fields and gives no verdict. Appends to BENCH_history.jsonl but
 # leaves BENCH_interp.json alone (refresh that with bench-json).
 bench:
 	$(GO) run ./cmd/interpbench -o /tmp/stridepf-bench.json -compare BENCH_interp.json

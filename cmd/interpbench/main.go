@@ -17,6 +17,9 @@
 // new results are diffed per benchmark against a previous report and the
 // command exits nonzero when any benchmark's ns/op regresses by more than
 // 10% — the Makefile bench target runs this against the committed baseline.
+// A baseline recorded on another host (cpu, go_version, goos or goarch
+// differ) is not comparable: the command prints the differing fields and
+// gives no verdict.
 //
 // With -pairs the command skips benchmarking and instead runs the dynamic
 // instruction-pair profile pass over the paper workloads (clean and
@@ -30,6 +33,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -166,11 +170,28 @@ func appendHistory(path string, rep *Report) error {
 	return nil
 }
 
+// hostDiff lists the host fields on which two reports differ.
+func hostDiff(old, cur *Report) []string {
+	var diff []string
+	for _, f := range [][3]string{
+		{"cpu", old.CPU, cur.CPU},
+		{"go_version", old.GoVersion, cur.GoVersion},
+		{"goos", old.GOOS, cur.GOOS},
+		{"goarch", old.GOARCH, cur.GOARCH},
+	} {
+		if f[1] != f[2] {
+			diff = append(diff, fmt.Sprintf("%s: %q -> %q", f[0], f[1], f[2]))
+		}
+	}
+	return diff
+}
+
 // compareReports prints per-benchmark deltas between the old report at path
 // and the new one, and reports whether any benchmark regressed by more than
 // regressionLimit in ns/op. Benchmarks present on only one side are noted
-// but never fail the comparison.
-func compareReports(w *os.File, path string, cur *Report) (regressed bool, err error) {
+// but never fail the comparison. A baseline from another host yields no
+// verdict: its differing host fields are printed instead of the deltas.
+func compareReports(w io.Writer, path string, cur *Report) (regressed bool, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return false, err
@@ -179,11 +200,18 @@ func compareReports(w *os.File, path string, cur *Report) (regressed bool, err e
 	if err := json.Unmarshal(raw, &old); err != nil {
 		return false, fmt.Errorf("%s: %w", path, err)
 	}
+	fmt.Fprintf(w, "interpbench: comparing against %s (%s)\n", path, old.Date)
+	if diff := hostDiff(&old, cur); len(diff) > 0 {
+		fmt.Fprintln(w, "interpbench: baseline recorded on a different host; ns/op not comparable, no verdict:")
+		for _, d := range diff {
+			fmt.Fprintln(w, "  "+d)
+		}
+		return false, nil
+	}
 	olds := make(map[string]Result, len(old.Results))
 	for _, r := range old.Results {
 		olds[r.Name] = r
 	}
-	fmt.Fprintf(w, "interpbench: comparing against %s (%s)\n", path, old.Date)
 	for _, r := range cur.Results {
 		o, ok := olds[r.Name]
 		if !ok {

@@ -46,9 +46,6 @@ func (e *Exact) Add(v int64) {
 	e.counts[k]++
 }
 
-// Distinct returns the number of distinct buckets observed.
-func (e *Exact) Distinct() int { return len(e.counts) }
-
 // Top returns up to k entries by decreasing true frequency, with the same
 // deterministic tie-break as Profiler.Top: smaller representative value
 // first.

@@ -1,11 +1,6 @@
 package machine
 
-import (
-	"io"
-
-	"stridepf/internal/cache"
-	"stridepf/internal/obs"
-)
+import "stridepf/internal/obs"
 
 // Option configures a machine at construction time. Options are applied in
 // order, so later options override earlier ones; WithConfig replaces the
@@ -24,43 +19,15 @@ func WithConfig(cfg Config) Option {
 	return func(c *Config) { *c = cfg }
 }
 
-// WithHierarchy selects the cache configuration.
-func WithHierarchy(h cache.HierarchyConfig) Option {
-	return func(c *Config) { c.Hierarchy = h }
-}
-
-// WithHeap bounds the simulated heap.
-func WithHeap(base, size uint64) Option {
-	return func(c *Config) { c.HeapBase, c.HeapSize = base, size }
-}
-
 // WithMaxSteps aborts runaway programs after n instructions.
 func WithMaxSteps(n uint64) Option {
 	return func(c *Config) { c.MaxSteps = n }
-}
-
-// WithMaxDepth bounds the call stack.
-func WithMaxDepth(n int) Option {
-	return func(c *Config) { c.MaxDepth = n }
-}
-
-// WithSeed seeds the OpRand generator.
-func WithSeed(seed uint64) Option {
-	return func(c *Config) { c.Seed = seed }
 }
 
 // WithHWPrefetch attaches a hardware prefetcher model observing the demand
 // load stream.
 func WithHWPrefetch(p HWPrefetcher) Option {
 	return func(c *Config) { c.HWPrefetch = p }
-}
-
-// WithHWPrefetchFactory installs a constructor that builds this machine's
-// hardware prefetcher at New time. Use it instead of WithHWPrefetch when
-// one configuration fans out to many machines: every machine gets its own
-// predictor state.
-func WithHWPrefetchFactory(f func() HWPrefetcher) Option {
-	return func(c *Config) { c.NewHWPrefetch = f }
 }
 
 // WithSelfCheck runs the naive shadow models of the cache hierarchy and
@@ -73,11 +40,6 @@ func WithSelfCheck() Option {
 // (differential checkers use it to assert prefetch neutrality).
 func WithDisablePrefetch() Option {
 	return func(c *Config) { c.DisablePrefetch = true }
-}
-
-// WithTrace streams one line per executed instruction to w.
-func WithTrace(w io.Writer) Option {
-	return func(c *Config) { c.Trace = w }
 }
 
 // WithObs attaches a prefetch-effectiveness collector (see package obs).

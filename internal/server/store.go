@@ -46,34 +46,38 @@ type ProfileStore interface {
 // since exhausted any sane client's retry budget.
 const maxIdemKeys = 4096
 
-// entry is one (workload, config) aggregate.
-type entry struct {
-	info   EntryInfo
-	merged *profile.Combined
+// Aggregate is one (workload, config) aggregate's complete state: what
+// Export hands out and Restore installs, so a durable store can persist
+// the aggregate without re-implementing its merge rules.
+type Aggregate struct {
+	Info   EntryInfo
+	Merged *profile.Combined
 
-	// idem records the entry info returned for each committed idempotency
+	// Idem records the entry info returned for each committed idempotency
 	// key, so a client that lost the response to a successful upload can
-	// retry without the shard merging twice. idemOrder is the FIFO
+	// retry without the shard merging twice. IdemOrder is the FIFO
 	// eviction order.
-	idem      map[string]EntryInfo
-	idemOrder []string
+	Idem      map[string]EntryInfo
+	IdemOrder []string
 }
 
 // Store aggregates uploaded stride profiles per (workload, config), the
 // networked analogue of running cmd/profmerge over shard files: each upload
 // is merged into the existing aggregate under the same fine-interval
 // compatibility rule, and the entry's version is bumped so pollers can tell
-// when the aggregate changed. It is safe for concurrent use.
+// when the aggregate changed. It is the only implementation of the merge,
+// the idempotency table and its bound; the WAL-backed store (package
+// walstore) logs and snapshots one of these. It is safe for concurrent use.
 type Store struct {
 	mu      sync.Mutex
-	entries map[string]*entry
+	entries map[string]*Aggregate
 }
 
 var _ ProfileStore = (*Store)(nil)
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{entries: make(map[string]*entry)}
+	return &Store{entries: make(map[string]*Aggregate)}
 }
 
 func storeKey(workload, config string) string { return workload + "|" + config }
@@ -83,22 +87,33 @@ func storeKey(workload, config string) string { return workload + "|" + config }
 // aggregate unchanged. A repeated non-empty idemKey replays the result of
 // the first successful upload with that key.
 func (s *Store) Upload(workload, config string, prof *profile.Combined, idemKey string) (EntryInfo, bool, error) {
+	return s.UploadLogged(workload, config, prof, idemKey, nil)
+}
+
+// UploadLogged is Upload with a write-ahead hook: a non-nil log runs after
+// the merge has been validated and before it is installed, so it sees only
+// uploads that will commit. It runs under the store's lock, so no other
+// upload interleaves between validation, log and install; log must not
+// call back into the Store. If log fails, the aggregate and its
+// idempotency table stay unchanged and the error is returned. A replayed
+// idempotency key does not call log.
+func (s *Store) UploadLogged(workload, config string, prof *profile.Combined, idemKey string, log func() error) (EntryInfo, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := storeKey(workload, config)
-	e := s.entries[key]
-	if e == nil {
-		e = &entry{
-			info: EntryInfo{Workload: workload, Config: config},
-			idem: make(map[string]EntryInfo),
+	a := s.entries[key]
+	if a == nil {
+		a = &Aggregate{
+			Info: EntryInfo{Workload: workload, Config: config},
+			Idem: make(map[string]EntryInfo),
 		}
 	}
 	if idemKey != "" {
-		if rec, ok := e.idem[idemKey]; ok {
+		if rec, ok := a.Idem[idemKey]; ok {
 			return rec, true, nil
 		}
 	}
-	merged, err := profile.Merge(e.merged, prof)
+	merged, err := profile.Merge(a.Merged, prof)
 	if err != nil {
 		return EntryInfo{}, false, err
 	}
@@ -106,22 +121,61 @@ func (s *Store) Upload(workload, config string, prof *profile.Combined, idemKey 
 	if err != nil {
 		return EntryInfo{}, false, err
 	}
-	e.merged = merged
-	e.info.Version++
-	e.info.Shards++
-	e.info.FineInterval = fi
+	if log != nil {
+		if err := log(); err != nil {
+			return EntryInfo{}, false, err
+		}
+	}
+	a.Merged = merged
+	a.Info.Version++
+	a.Info.Shards++
+	a.Info.FineInterval = fi
 	if idemKey != "" {
 		// Only committed merges are recorded: a failed attempt must stay
 		// retryable under the same key.
-		e.idem[idemKey] = e.info
-		e.idemOrder = append(e.idemOrder, idemKey)
-		if len(e.idemOrder) > maxIdemKeys {
-			delete(e.idem, e.idemOrder[0])
-			e.idemOrder = e.idemOrder[1:]
+		a.Idem[idemKey] = a.Info
+		a.IdemOrder = append(a.IdemOrder, idemKey)
+		if len(a.IdemOrder) > maxIdemKeys {
+			delete(a.Idem, a.IdemOrder[0])
+			a.IdemOrder = a.IdemOrder[1:]
 		}
 	}
-	s.entries[key] = e
-	return e.info, false, nil
+	s.entries[key] = a
+	return a.Info, false, nil
+}
+
+// Export runs fn under the store's lock with every aggregate's state,
+// ordered by storage key (workload + "|" + config). The state is the
+// store's own, not a copy, so that a snapshot of thousands of idempotency
+// keys costs no extra allocation: fn must not modify it, keep it after
+// returning, or call back into the Store.
+func (s *Store) Export(fn func([]Aggregate) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keys := make([]string, 0, len(s.entries))
+	for k := range s.entries {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	aggs := make([]Aggregate, len(keys))
+	for i, k := range keys {
+		aggs[i] = *s.entries[k]
+	}
+	return fn(aggs)
+}
+
+// Restore installs aggregates previously returned by Export, replacing any
+// aggregate with the same (workload, config). The store takes ownership of
+// their profiles, maps and slices.
+func (s *Store) Restore(aggs []Aggregate) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, a := range aggs {
+		if a.Idem == nil {
+			a.Idem = make(map[string]EntryInfo)
+		}
+		s.entries[storeKey(a.Info.Workload, a.Info.Config)] = &a
+	}
 }
 
 // Get returns the merged aggregate and its info. The returned profile is a
@@ -130,11 +184,11 @@ func (s *Store) Upload(workload, config string, prof *profile.Combined, idemKey 
 func (s *Store) Get(workload, config string) (*profile.Combined, EntryInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.entries[storeKey(workload, config)]
-	if e == nil {
+	a := s.entries[storeKey(workload, config)]
+	if a == nil {
 		return nil, EntryInfo{}, fmt.Errorf("server: no profile for workload %q config %q", workload, config)
 	}
-	return e.merged.Clone(), e.info, nil
+	return a.Merged.Clone(), a.Info, nil
 }
 
 // List returns every aggregate's info sorted by (workload, config).
@@ -142,8 +196,8 @@ func (s *Store) List() []EntryInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]EntryInfo, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, e.info)
+	for _, a := range s.entries {
+		out = append(out, a.Info)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Workload != out[j].Workload {

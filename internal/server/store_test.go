@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"stridepf/internal/lfu"
@@ -73,5 +74,50 @@ func TestStoreGetAliasing(t *testing.T) {
 	}
 	if gotBytes := encodeStoreProfile(t, b); !bytes.Equal(gotBytes, want) {
 		t.Error("two Get results share TopStrides backing arrays")
+	}
+}
+
+// TestUploadLoggedHook pins the write-ahead seam the WAL store builds on:
+// log runs only for uploads that will commit, and a failing log leaves the
+// aggregate and its idempotency table as they were.
+func TestUploadLoggedHook(t *testing.T) {
+	s := NewStore()
+	calls := 0
+	logOK := func() error { calls++; return nil }
+	logFail := func() error { calls++; return errors.New("disk full") }
+
+	if _, _, err := s.UploadLogged("w", "c", storeShard(10), "k1", logFail); err == nil {
+		t.Fatal("failing log did not fail the upload")
+	}
+	if _, _, err := s.Get("w", "c"); err == nil {
+		t.Fatal("failed log installed an aggregate")
+	}
+	info, replayed, err := s.UploadLogged("w", "c", storeShard(10), "k1", logOK)
+	if err != nil || replayed || info.Version != 1 {
+		t.Fatalf("retry after failed log: info=%+v replayed=%v err=%v", info, replayed, err)
+	}
+	if _, _, err := s.UploadLogged("w", "c", storeShard(20), "k2", logFail); err == nil {
+		t.Fatal("failing log did not fail the upload")
+	}
+	if _, info, _ := s.Get("w", "c"); info.Version != 1 {
+		t.Fatalf("failed log bumped the aggregate to version %d", info.Version)
+	}
+	if calls != 3 {
+		t.Fatalf("log called %d times, want 3", calls)
+	}
+
+	// Neither a replayed key nor a rejected merge reaches the log.
+	if _, replayed, _ := s.UploadLogged("w", "c", storeShard(10), "k1", logOK); !replayed {
+		t.Fatal("committed key not replayed")
+	}
+	bad := storeShard(5)
+	sums := bad.Stride.Summaries()
+	sums[0].FineInterval = 2
+	bad.Stride = profile.NewStrideProfile(sums)
+	if _, _, err := s.UploadLogged("w", "c", bad, "k3", logOK); err == nil {
+		t.Fatal("fine-interval mismatch accepted")
+	}
+	if calls != 3 {
+		t.Fatalf("log called %d times after replay and rejection, want 3", calls)
 	}
 }

@@ -155,10 +155,6 @@ type PathBucket struct {
 	LFU *lfu.Profiler
 }
 
-// PathBuckets returns the load's per-path buckets keyed by path id, or nil
-// outside paths mode. The map is live; callers must not mutate it.
-func (pd *ProfData) PathBuckets() map[int64]*PathBucket { return pd.paths }
-
 // Runtime is the profiling runtime shared by all profiled loads of one
 // instrumented execution.
 type Runtime struct {

@@ -77,28 +77,22 @@ type snapFile struct {
 	Entries []snapEntry `json:"entries"`
 }
 
-// maxIdemKeys mirrors the in-memory store's per-aggregate idempotency
-// bound.
-const maxIdemKeys = 4096
-
-// entry is one (workload, config) aggregate plus its idempotency table.
-type entry struct {
-	info      server.EntryInfo
-	merged    *profile.Combined
-	idem      map[string]server.EntryInfo
-	idemOrder []string
-}
-
-// Store is the WAL-backed ProfileStore. It is safe for concurrent use;
-// one mutex serialises uploads, reads, snapshots and compaction (uploads
-// are merge-dominated, so a finer lock would buy little).
+// Store is the WAL-backed ProfileStore: a log and snapshots around one
+// in-memory server.Store, which alone merges shards, bumps versions,
+// dedups idempotency keys and bounds the idempotency table. Store owns only
+// the sequence numbers, segments, snapshots, compaction and recovery. It
+// is safe for concurrent use; one mutex serialises uploads, snapshots and
+// compaction (uploads are merge-dominated, so a finer lock would buy
+// little). The aggregates sit in a named field rather than an embedded
+// one so that server.Store's Restore and UploadLogged, which bypass the
+// log, are not promoted.
 type Store struct {
 	mu   sync.Mutex
 	dir  string
 	opts Options
 
-	entries map[string]*entry
-	seq     uint64 // last committed record sequence number
+	mem *server.Store
+	seq uint64 // last committed record sequence number
 
 	seg       *os.File // active segment
 	segSize   int64
@@ -108,8 +102,6 @@ type Store struct {
 }
 
 var _ server.ProfileStore = (*Store)(nil)
-
-func storeKey(workload, config string) string { return workload + "|" + config }
 
 func segPath(dir string, firstSeq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%016x.seg", firstSeq))
@@ -145,7 +137,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts, entries: make(map[string]*entry)}
+	s := &Store{dir: dir, opts: opts, mem: server.NewStore()}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -247,49 +239,14 @@ func (s *Store) applySegment(sc segmentScan, path string) (stop bool, err error)
 		if err != nil {
 			return false, fmt.Errorf("walstore: replay seq %d: %w", rec.Seq, err)
 		}
-		if err := s.apply(rec.Workload, rec.Config, prof, rec.IdemKey); err != nil {
+		// Records are only appended after their merge was validated, so a
+		// replay error means the log itself is inconsistent.
+		if _, _, err := s.mem.Upload(rec.Workload, rec.Config, prof, rec.IdemKey); err != nil {
 			return false, fmt.Errorf("walstore: replay seq %d: %w", rec.Seq, err)
 		}
 		s.seq = rec.Seq
 	}
 	return false, nil
-}
-
-// apply merges one committed shard into memory (no WAL write): shared by
-// replay and the commit half of Upload. Records are only ever appended
-// after the merge has been validated, so an apply error during replay
-// means the log itself is inconsistent.
-func (s *Store) apply(workload, config string, prof *profile.Combined, idemKey string) error {
-	key := storeKey(workload, config)
-	e := s.entries[key]
-	if e == nil {
-		e = &entry{
-			info: server.EntryInfo{Workload: workload, Config: config},
-			idem: make(map[string]server.EntryInfo),
-		}
-		s.entries[key] = e
-	}
-	merged, err := profile.Merge(e.merged, prof)
-	if err != nil {
-		return err
-	}
-	fi, err := merged.FineInterval()
-	if err != nil {
-		return err
-	}
-	e.merged = merged
-	e.info.Version++
-	e.info.Shards++
-	e.info.FineInterval = fi
-	if idemKey != "" {
-		e.idem[idemKey] = e.info
-		e.idemOrder = append(e.idemOrder, idemKey)
-		if len(e.idemOrder) > maxIdemKeys {
-			delete(e.idem, e.idemOrder[0])
-			e.idemOrder = e.idemOrder[1:]
-		}
-	}
-	return nil
 }
 
 // loadSnapshot restores the full store state recorded at snapSeq.
@@ -305,19 +262,15 @@ func (s *Store) loadSnapshot(path string, snapSeq uint64) error {
 	if sf.Seq != snapSeq {
 		return fmt.Errorf("payload claims seq %d, filename says %d", sf.Seq, snapSeq)
 	}
-	for _, se := range sf.Entries {
+	aggs := make([]server.Aggregate, len(sf.Entries))
+	for i, se := range sf.Entries {
 		merged, err := profile.DefaultCodec.Decode(bytes.NewReader(se.Merged))
 		if err != nil {
 			return fmt.Errorf("aggregate %s/%s: %w", se.Info.Workload, se.Info.Config, err)
 		}
-		idem := se.Idem
-		if idem == nil {
-			idem = make(map[string]server.EntryInfo)
-		}
-		s.entries[storeKey(se.Info.Workload, se.Info.Config)] = &entry{
-			info: se.Info, merged: merged, idem: idem, idemOrder: se.IdemOrder,
-		}
+		aggs[i] = server.Aggregate{Info: se.Info, Merged: merged, Idem: se.Idem, IdemOrder: se.IdemOrder}
 	}
+	s.mem.Restore(aggs)
 	return nil
 }
 
@@ -341,7 +294,9 @@ func (s *Store) openActiveSegment() error {
 // Upload implements server.ProfileStore: validate the merge, append the
 // WAL record, then commit in memory — in that order, so the log never
 // contains a record that cannot replay, and a crash between append and
-// commit just replays the record on restart.
+// commit just replays the record on restart. The merge runs once, inside
+// server.Store, which calls back to append the record before installing
+// the result.
 func (s *Store) Upload(workload, config string, prof *profile.Combined, idemKey string) (server.EntryInfo, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -351,52 +306,12 @@ func (s *Store) Upload(workload, config string, prof *profile.Combined, idemKey 
 	if s.seg == nil {
 		return server.EntryInfo{}, false, fmt.Errorf("walstore: store is closed")
 	}
-	key := storeKey(workload, config)
-	if idemKey != "" {
-		if e := s.entries[key]; e != nil {
-			if rec, ok := e.idem[idemKey]; ok {
-				return rec, true, nil
-			}
-		}
-	}
-
-	// Validate before writing: a shard that cannot merge (fine-interval
-	// mismatch) must not reach the log.
-	var cur *profile.Combined
-	if e := s.entries[key]; e != nil {
-		cur = e.merged
-	}
-	merged, err := profile.Merge(cur, prof)
-	if err != nil {
-		return server.EntryInfo{}, false, err
-	}
-	if _, err := merged.FineInterval(); err != nil {
-		return server.EntryInfo{}, false, err
-	}
-
-	var shard bytes.Buffer
-	if err := profile.DefaultCodec.Encode(&shard, prof); err != nil {
-		return server.EntryInfo{}, false, err
-	}
-	payload, err := json.Marshal(walRecord{
-		Seq: s.seq + 1, Workload: workload, Config: config,
-		IdemKey: idemKey, Shard: shard.Bytes(),
+	info, replayed, err := s.mem.UploadLogged(workload, config, prof, idemKey, func() error {
+		return s.appendRecord(workload, config, prof, idemKey)
 	})
-	if err != nil {
-		return server.EntryInfo{}, false, err
+	if err != nil || replayed {
+		return info, replayed, err
 	}
-	if err := s.appendPayload(payload); err != nil {
-		return server.EntryInfo{}, false, err
-	}
-	s.seq++
-
-	if err := s.apply(workload, config, prof, idemKey); err != nil {
-		// Cannot happen: apply re-runs the merge validated above. If it
-		// does, the log and memory disagree — stop accepting writes.
-		s.broken = fmt.Errorf("walstore: commit after append failed: %w", err)
-		return server.EntryInfo{}, false, s.broken
-	}
-	info := s.entries[key].info
 
 	s.sinceSnap++
 	if s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
@@ -411,6 +326,27 @@ func (s *Store) Upload(workload, config string, prof *profile.Combined, idemKey 
 		}
 	}
 	return info, false, nil
+}
+
+// appendRecord writes the WAL record for the next sequence number and
+// advances it.
+func (s *Store) appendRecord(workload, config string, prof *profile.Combined, idemKey string) error {
+	var shard bytes.Buffer
+	if err := profile.DefaultCodec.Encode(&shard, prof); err != nil {
+		return err
+	}
+	payload, err := json.Marshal(walRecord{
+		Seq: s.seq + 1, Workload: workload, Config: config,
+		IdemKey: idemKey, Shard: shard.Bytes(),
+	})
+	if err != nil {
+		return err
+	}
+	if err := s.appendPayload(payload); err != nil {
+		return err
+	}
+	s.seq++
+	return nil
 }
 
 // appendPayload frames payload onto the active segment. On a write error
@@ -463,23 +399,22 @@ func (s *Store) Snapshot() error {
 // crash between any two steps is safe — deletion is pure garbage
 // collection of records replay would skip anyway.
 func (s *Store) snapshotLocked() error {
-	sf := snapFile{Seq: s.seq}
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		e := s.entries[k]
-		var buf bytes.Buffer
-		if err := profile.DefaultCodec.Encode(&buf, e.merged); err != nil {
-			return err
+	var payload []byte
+	err := s.mem.Export(func(aggs []server.Aggregate) error {
+		sf := snapFile{Seq: s.seq}
+		for _, a := range aggs {
+			var buf bytes.Buffer
+			if err := profile.DefaultCodec.Encode(&buf, a.Merged); err != nil {
+				return err
+			}
+			sf.Entries = append(sf.Entries, snapEntry{
+				Info: a.Info, Merged: buf.Bytes(), Idem: a.Idem, IdemOrder: a.IdemOrder,
+			})
 		}
-		sf.Entries = append(sf.Entries, snapEntry{
-			Info: e.info, Merged: buf.Bytes(), Idem: e.idem, IdemOrder: e.idemOrder,
-		})
-	}
-	payload, err := json.Marshal(sf)
+		var err error
+		payload, err = json.Marshal(sf)
+		return err
+	})
 	if err != nil {
 		return err
 	}
@@ -533,34 +468,14 @@ func (s *Store) compactLocked() {
 	}
 }
 
-// Get implements server.ProfileStore. Like the in-memory store it returns
-// a deep copy: callers may mutate the result freely.
+// Get implements server.ProfileStore; it returns a deep copy, and keeps
+// working after Close.
 func (s *Store) Get(workload, config string) (*profile.Combined, server.EntryInfo, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.entries[storeKey(workload, config)]
-	if e == nil {
-		return nil, server.EntryInfo{}, fmt.Errorf("walstore: no profile for workload %q config %q", workload, config)
-	}
-	return e.merged.Clone(), e.info, nil
+	return s.mem.Get(workload, config)
 }
 
 // List implements server.ProfileStore.
-func (s *Store) List() []server.EntryInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]server.EntryInfo, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, e.info)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Workload != out[j].Workload {
-			return out[i].Workload < out[j].Workload
-		}
-		return out[i].Config < out[j].Config
-	})
-	return out
-}
+func (s *Store) List() []server.EntryInfo { return s.mem.List() }
 
 // LastSeq returns the sequence number of the last committed upload (0 when
 // empty): the recovery tests use it to identify which committed prefix a

@@ -1,8 +1,10 @@
-// Package walstore is the durable server.ProfileStore: every accepted
-// shard upload is appended to a segmented, checksummed write-ahead log
-// before it is merged in memory, periodic compacted snapshots bound replay
-// time, and Open reconstructs the exact in-memory state by replaying the
-// newest snapshot plus the WAL tail. The recovery oracle is byte-exact:
+// Package walstore is the durable server.ProfileStore: a log and
+// snapshots around one in-memory server.Store, which alone merges shards
+// and keeps the idempotency table. Every accepted shard upload is merged
+// once, appended to a segmented, checksummed write-ahead log, and only
+// then installed in memory; periodic compacted snapshots bound replay
+// time, and Open reconstructs the exact in-memory state by restoring the
+// newest snapshot and replaying the WAL tail through server.Store.Upload. The recovery oracle is byte-exact:
 // after any crash — including a kill that tears the last record in half —
 // the reopened store's aggregates are byte-identical to a fault-free
 // offline profmerge of the committed shard prefix. See DESIGN.md §12.

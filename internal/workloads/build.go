@@ -47,17 +47,6 @@ func whileNonZero(bl *ir.Builder, p ir.Reg, hint string, body func()) {
 	bl.At(exit)
 }
 
-// burn emits `rounds` iterations of a small ALU kernel accumulating into
-// acc — the filler compute that sets each benchmark's memory-boundedness.
-// Each iteration costs roughly 7 cycles.
-func burn(bl *ir.Builder, acc ir.Reg, rounds ir.Reg) {
-	forLoop(bl, rounds, "burn", func(i ir.Reg) {
-		t := bl.Xor(acc, i)
-		u := bl.ShlI(t, 1)
-		bl.Mov(acc, bl.Add(u, bl.AddI(t, 13)))
-	})
-}
-
 // burnInline emits n straight-line division-based rounds accumulating into
 // acc. Divisions are the cycle-dense filler (8 cycles per instruction), so
 // a loop body's compute weight can be set without inflating the dynamic
