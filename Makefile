@@ -1,19 +1,21 @@
 # Tier-1 gate: `make check` is what CI (and every PR) must keep green.
-# It vets, builds and tests every package, then re-runs the whole tree
-# under the race detector in short mode.
+# It fails on unformatted Go files, vets, builds and tests every package,
+# then re-runs the whole tree under the race detector in short mode.
 #
 # `make check-deep` is the slower tier-2 gate: the whole tree race-enabled
 # and shuffled, a fuzz smoke pass over the seed corpora, the simcheck
-# property suite, and a figure regeneration with shadow-model self-checking
-# on. See TESTING.md for the oracle taxonomy behind each layer.
+# property suite, a figure regeneration with shadow-model self-checking
+# on, and the full-roster figure golden (figures_output.txt). See
+# TESTING.md for the oracle taxonomy behind each layer.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: check check-deep vet build test race race-full fuzz-smoke simcheck \
-	arena paths bench bench-json bench-pairs figures metrics serve smoke-serve \
+.PHONY: check check-deep fmt vet build test race race-full fuzz-smoke simcheck \
+	arena paths bench bench-json bench-pairs figures figures-golden metrics serve smoke-serve \
 	chaos chaos-replay converge walsoak clean
 
-check: vet build test race
+check: fmt vet build test race
 
 check-deep: check
 	$(MAKE) race-full
@@ -23,9 +25,15 @@ check-deep: check
 	$(MAKE) converge
 	$(MAKE) walsoak
 	$(GO) run ./cmd/experiments -figure 16 -workloads 181.mcf -selfcheck
+	$(MAKE) figures-golden
 	$(MAKE) arena
 	$(MAKE) paths
 	$(MAKE) smoke-serve
+
+# Fails listing the files when any Go file is not gofmt-formatted.
+fmt:
+	@out=$$($(GOFMT) -l .); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -81,6 +89,11 @@ bench-pairs:
 # Regenerate all paper figures (parallel across GOMAXPROCS workers).
 figures:
 	$(GO) run ./cmd/experiments -figure all
+
+# The absolute golden of the full roster: `-figure all` on two workers must
+# reproduce the committed figures_output.txt byte for byte.
+figures-golden:
+	$(GO) run ./cmd/experiments -figure all -j 2 | diff -u figures_output.txt -
 
 # The prefetcher-arena cross product (hardware scheme x workload x cache
 # config) on the short workload set; see EXPERIMENTS.md, "Prefetcher arena".

@@ -147,7 +147,7 @@ func headline(b *testing.B, t *experiments.Table, row, col string) float64 {
 func BenchmarkFig16Speedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSession(experiments.Config{})
-		t, err := s.Fig16(ctx)
+		t, err := s.Figure(ctx, "16")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func BenchmarkFig16Speedup(b *testing.B) {
 func BenchmarkFig17LoadMix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSession(experiments.Config{})
-		t, err := s.Fig17(ctx)
+		t, err := s.Figure(ctx, "17")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func BenchmarkFig17LoadMix(b *testing.B) {
 func BenchmarkFig18OutLoopDist(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSession(experiments.Config{})
-		t, err := s.Fig18(ctx)
+		t, err := s.Figure(ctx, "18")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func BenchmarkFig18OutLoopDist(b *testing.B) {
 func BenchmarkFig19InLoopDist(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSession(experiments.Config{})
-		t, err := s.Fig19(ctx)
+		t, err := s.Figure(ctx, "19")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func BenchmarkFig19InLoopDist(b *testing.B) {
 func BenchmarkFig20Overhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSession(experiments.Config{})
-		t, err := s.Fig20(ctx)
+		t, err := s.Figure(ctx, "20")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func BenchmarkFig20Overhead(b *testing.B) {
 func BenchmarkFig21StrideProfRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSession(experiments.Config{})
-		t, err := s.Fig21(ctx)
+		t, err := s.Figure(ctx, "21")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func BenchmarkFig21StrideProfRate(b *testing.B) {
 func BenchmarkFig22LFURate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSession(experiments.Config{})
-		t, err := s.Fig22(ctx)
+		t, err := s.Figure(ctx, "22")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func BenchmarkFig22LFURate(b *testing.B) {
 func BenchmarkFig23TrainRef(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSession(experiments.Config{})
-		t, err := s.Fig23(ctx)
+		t, err := s.Figure(ctx, "23")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func BenchmarkFig23TrainRef(b *testing.B) {
 func BenchmarkFig24EdgeRefStrideTrain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSession(experiments.Config{})
-		t, err := s.Fig24(ctx)
+		t, err := s.Figure(ctx, "24")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func BenchmarkFig24EdgeRefStrideTrain(b *testing.B) {
 func BenchmarkFig25EdgeTrainStrideRef(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSession(experiments.Config{})
-		t, err := s.Fig25(ctx)
+		t, err := s.Figure(ctx, "25")
 		if err != nil {
 			b.Fatal(err)
 		}

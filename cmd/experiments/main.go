@@ -1,10 +1,10 @@
 // Command experiments regenerates the paper's evaluation figures (15-25)
 // as text tables, plus the repo's own prefetcher-arena cross product
-// (-figure arena).
+// (-figure arena) and path-profiling figure (-figure paths).
 //
 // Usage:
 //
-//	experiments [-workloads 181.mcf,197.parser] [-figure all|15|16|...|25|arena]
+//	experiments [-workloads 181.mcf,197.parser] [-figure all|15|16|...|25|arena|paths]
 //	            [-j N] [-o out.txt] [-selfcheck] [-hwpf scheme]
 //	            [-metrics metrics.json]
 //	            [-trace trace.jsonl] [-trace-sample N] [-trace-max N]
@@ -60,7 +60,7 @@ import (
 func main() {
 	var (
 		workloadsFlag = flag.String("workloads", "", "comma-separated benchmark names (default: all)")
-		figureFlag    = flag.String("figure", "all", "figure to regenerate: all, 15..25, arena")
+		figureFlag    = flag.String("figure", "all", "figure to regenerate: all, "+strings.Join(experiments.AllFigureNames(), ", "))
 		hwpfFlag      = flag.String("hwpf", "", "attach a hardware prefetcher to every simulation: "+strings.Join(hwpf.Schemes(), ", ")+" (default: none)")
 		outFlag       = flag.String("o", "", "output file (default: stdout)")
 		csvFlag       = flag.Bool("csv", false, "emit CSV instead of aligned text (single figures only)")
@@ -180,17 +180,7 @@ func main() {
 	}
 
 	s := experiments.NewSession(cfg)
-	known := false
-	for _, name := range experiments.FigureNames() {
-		known = known || name == *figureFlag
-	}
-	for _, name := range experiments.ExtraFigureNames() {
-		known = known || name == *figureFlag
-	}
-	if !known {
-		fatal(fmt.Errorf("unknown figure %q (want all, 15..25, arena or paths)", *figureFlag))
-	}
-	if n := cfg.Jobs; n != 1 && *figureFlag != "15" {
+	if n := cfg.Jobs; n != 1 {
 		s.Warm(ctx, n, *figureFlag)
 	}
 	text, err := s.FigureText(ctx, *figureFlag, *csvFlag)

@@ -28,7 +28,7 @@ func TestHeadlineResults(t *testing.T) {
 	}
 	s := experiments.NewSession(experiments.Config{})
 
-	fig16, err := s.Fig16(ctx)
+	fig16, err := s.Figure(ctx, "16")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestHeadlineResults(t *testing.T) {
 		t.Errorf("profiling methods disagree too much: averages %v", avgRow.Values)
 	}
 
-	fig20, err := s.Fig20(ctx)
+	fig20, err := s.Figure(ctx, "20")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestHeadlineResults(t *testing.T) {
 	}
 
 	// Figure 22's fast-path effect: naive-all LFU rate well below 100%.
-	fig22, err := s.Fig22(ctx)
+	fig22, err := s.Figure(ctx, "22")
 	if err != nil {
 		t.Fatal(err)
 	}

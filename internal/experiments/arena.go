@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"stridepf/internal/cache"
 	"stridepf/internal/core"
@@ -85,29 +86,21 @@ type ArenaCell struct {
 // workload's clean binary on the reference input under the named cache
 // config.
 func (s *Session) arenaBase(ctx context.Context, wname, hierName string) (core.RunStats, error) {
-	key := "arenabase|" + wname + "|" + hierName
-	v, err := s.do(ctx, key,
-		func() (any, bool) { st, ok := s.arenaRef[key]; return st, ok },
-		func(v any) { s.arenaRef[key] = v.(core.RunStats) },
-		func() (any, error) {
-			w, err := s.workload(wname)
-			if err != nil {
-				return nil, err
-			}
-			hier, err := arenaHierarchy(hierName)
-			if err != nil {
-				return nil, err
-			}
-			mcfg := s.mcfg(ctx)
-			mcfg.Hierarchy = hier
-			mcfg.NewHWPrefetch = nil
-			st, err := core.Execute(w.Program(), w, w.Ref(), mcfg)
-			return st, ctxErr(ctx, err)
-		})
-	if err != nil {
-		return core.RunStats{}, err
-	}
-	return v.(core.RunStats), nil
+	return memo(ctx, s, "arenabase|"+wname+"|"+hierName, func() (core.RunStats, error) {
+		w, err := s.workload(wname)
+		if err != nil {
+			return core.RunStats{}, err
+		}
+		hier, err := arenaHierarchy(hierName)
+		if err != nil {
+			return core.RunStats{}, err
+		}
+		mcfg := s.mcfg(ctx)
+		mcfg.Hierarchy = hier
+		mcfg.NewHWPrefetch = nil
+		st, err := core.Execute(w.Program(), w, w.Ref(), mcfg)
+		return st, ctxErr(ctx, err)
+	})
 }
 
 // ArenaCell returns the memoised arena measurement of one scheme on one
@@ -116,88 +109,84 @@ func (s *Session) arenaBase(ctx context.Context, wname, hierName string) (core.R
 // an error, not a slow scheme) and its collector must reconcile.
 func (s *Session) ArenaCell(ctx context.Context, wname, hierName, scheme string) (*ArenaCell, error) {
 	key := "arena|" + wname + "|" + hierName + "|" + scheme
-	v, err := s.do(ctx, key,
-		func() (any, bool) { c, ok := s.arenas[key]; return c, ok },
-		func(v any) { s.arenas[key] = v.(*ArenaCell) },
-		func() (any, error) {
-			w, err := s.workload(wname)
-			if err != nil {
-				return nil, err
-			}
-			hier, err := arenaHierarchy(hierName)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := hwpf.NewScheme(scheme, s.cfg.HWPFConfig); err != nil {
-				return nil, err
-			}
-			base, err := s.arenaBase(ctx, wname, hierName)
-			if err != nil {
-				return nil, err
-			}
-			col := obs.NewCollector(s.cfg.Trace.WithRun(key))
-			mcfg := s.mcfg(ctx)
-			mcfg.Hierarchy = hier
-			mcfg.Obs = col
-			hcfg := s.cfg.HWPFConfig
-			mcfg.NewHWPrefetch = func() machine.HWPrefetcher {
-				p, _ := hwpf.NewScheme(scheme, hcfg)
-				return p
-			}
-			run, err := core.Execute(w.Program(), w, w.Ref(), mcfg)
-			if err != nil {
-				return nil, ctxErr(ctx, err)
-			}
-			if run.Ret != base.Ret {
-				return nil, fmt.Errorf("experiments: arena %s/%s: scheme %s corrupted architectural state (%d vs %d)",
-					wname, hierName, scheme, run.Ret, base.Ret)
-			}
-			if err := col.Reconcile(); err != nil {
-				return nil, fmt.Errorf("experiments: arena %s/%s/%s: %w", wname, hierName, scheme, err)
-			}
-			if s.cfg.Metrics != nil {
-				rep := obs.BuildReport(key, col)
-				rep.Workload = wname
-				rep.Label = "arena|" + hierName + "|" + scheme
-				s.cfg.Metrics.Register(rep)
-			}
-			hw := col.Classes[obs.ClassHW]
-			return &ArenaCell{
-				Speedup:         float64(base.Stats.Cycles) / float64(run.Stats.Cycles),
-				Accuracy:        hw.Accuracy(),
-				Coverage:        col.ClassCoverage(obs.ClassHW),
-				Timeliness:      hw.Timeliness(),
-				Stats:           hw,
-				UncoveredMisses: col.UncoveredMisses,
-				Run:             run,
-			}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*ArenaCell), nil
+	return memo(ctx, s, key, func() (*ArenaCell, error) {
+		w, err := s.workload(wname)
+		if err != nil {
+			return nil, err
+		}
+		hier, err := arenaHierarchy(hierName)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := hwpf.NewScheme(scheme, s.cfg.HWPFConfig); err != nil {
+			return nil, err
+		}
+		base, err := s.arenaBase(ctx, wname, hierName)
+		if err != nil {
+			return nil, err
+		}
+		col := obs.NewCollector(s.cfg.Trace.WithRun(key))
+		mcfg := s.mcfg(ctx)
+		mcfg.Hierarchy = hier
+		mcfg.Obs = col
+		hcfg := s.cfg.HWPFConfig
+		mcfg.NewHWPrefetch = func() machine.HWPrefetcher {
+			p, _ := hwpf.NewScheme(scheme, hcfg)
+			return p
+		}
+		run, err := core.Execute(w.Program(), w, w.Ref(), mcfg)
+		if err != nil {
+			return nil, ctxErr(ctx, err)
+		}
+		if run.Ret != base.Ret {
+			return nil, fmt.Errorf("experiments: arena %s/%s: scheme %s corrupted architectural state (%d vs %d)",
+				wname, hierName, scheme, run.Ret, base.Ret)
+		}
+		if err := col.Reconcile(); err != nil {
+			return nil, fmt.Errorf("experiments: arena %s/%s/%s: %w", wname, hierName, scheme, err)
+		}
+		if s.cfg.Metrics != nil {
+			rep := obs.BuildReport(key, col)
+			rep.Workload = wname
+			rep.Label = "arena|" + hierName + "|" + scheme
+			s.cfg.Metrics.Register(rep)
+		}
+		hw := col.Classes[obs.ClassHW]
+		return &ArenaCell{
+			Speedup:         float64(base.Stats.Cycles) / float64(run.Stats.Cycles),
+			Accuracy:        hw.Accuracy(),
+			Coverage:        col.ClassCoverage(obs.ClassHW),
+			Timeliness:      hw.Timeliness(),
+			Stats:           hw,
+			UncoveredMisses: col.UncoveredMisses,
+			Run:             run,
+		}, nil
+	})
 }
 
-// Arena assembles the cross-product figure: one row per workload × cache
-// config × scheme, with the speedup / accuracy / coverage / timeliness
-// columns. Rows follow the session's workload order, then ArenaHierarchies
-// order, then hwpf.Schemes order, so the table is byte-stable.
-func (s *Session) Arena(ctx context.Context) (*Table, error) {
-	t := &Table{
-		Title:   "Prefetcher arena: hardware scheme x workload x cache config (clean binary, ref input)",
-		Columns: []string{"speedup", "accuracy", "coverage", "timeliness"},
-	}
+// arenaRows is the arena figure's row order, keyed
+// "workload|cache config|scheme": the session's workload order, then
+// ArenaHierarchies order, then hwpf.Schemes order, so the table is
+// byte-stable.
+func arenaRows(s *Session) []string {
+	var rows []string
 	for _, wname := range s.cfg.names() {
 		for _, h := range ArenaHierarchies() {
 			for _, scheme := range hwpf.Schemes() {
-				cell, err := s.ArenaCell(ctx, wname, h.Name, scheme)
-				if err != nil {
-					return nil, err
-				}
-				t.AddRow(wname+"|"+h.Name+"|"+scheme,
-					cell.Speedup, cell.Accuracy, cell.Coverage, cell.Timeliness)
+				rows = append(rows, wname+"|"+h.Name+"|"+scheme)
 			}
 		}
 	}
-	return t, nil
+	return rows
+}
+
+// arenaValue is an arena figure cell: the speedup, accuracy, coverage or
+// timeliness of the row's scheme.
+func arenaValue(ctx context.Context, s *Session, row string, col int) (float64, error) {
+	k := strings.SplitN(row, "|", 3)
+	c, err := s.ArenaCell(ctx, k[0], k[1], k[2])
+	if err != nil {
+		return 0, err
+	}
+	return [...]float64{c.Speedup, c.Accuracy, c.Coverage, c.Timeliness}[col], nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,21 +129,12 @@ func TestArenaCellValidatesInputs(t *testing.T) {
 // figures are reachable by name but must never join FigureNames (RunAll and
 // `-figure all` stay byte-identical to the paper harness).
 func TestArenaIsExtraFigure(t *testing.T) {
-	extras := ExtraFigureNames()
-	for _, name := range FigureNames() {
-		for _, extra := range extras {
-			if name == extra {
-				t.Fatalf("%s leaked into FigureNames", extra)
-			}
-		}
+	paper := []string{"15", "16", "17", "18", "19", "20", "21", "22", "23", "24", "25"}
+	if got := FigureNames(); !slices.Equal(got, paper) {
+		t.Errorf("FigureNames() = %v, want %v", got, paper)
 	}
-	want := []string{"arena", "paths"}
-	if len(extras) != len(want) {
-		t.Fatalf("ExtraFigureNames() = %v, want %v", extras, want)
-	}
-	for i, extra := range extras {
-		if extra != want[i] {
-			t.Errorf("ExtraFigureNames()[%d] = %q, want %q", i, extra, want[i])
-		}
+	all := append(paper, "arena", "paths")
+	if got := AllFigureNames(); !slices.Equal(got, all) {
+		t.Errorf("AllFigureNames() = %v, want %v", got, all)
 	}
 }

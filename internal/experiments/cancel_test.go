@@ -47,7 +47,7 @@ func TestFigureTextMatchesCLIForms(t *testing.T) {
 		t.Skip("experiment session in -short mode")
 	}
 	s := sessionFor(t)
-	tb, err := s.Fig16(ctx)
+	tb, err := s.Figure(ctx, "16")
 	if err != nil {
 		t.Fatal(err)
 	}

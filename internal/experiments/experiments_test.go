@@ -60,7 +60,7 @@ func sessionFor(t *testing.T) *Session {
 
 func TestFig16Headline(t *testing.T) {
 	s := sessionFor(t)
-	tb, err := s.Fig16(ctx)
+	tb, err := s.Figure(ctx, "16")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFig16Headline(t *testing.T) {
 
 func TestFig17SumsTo100(t *testing.T) {
 	s := sessionFor(t)
-	tb, err := s.Fig17(ctx)
+	tb, err := s.Figure(ctx, "17")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,15 +95,15 @@ func TestFig17SumsTo100(t *testing.T) {
 
 func TestFig18And19Consistency(t *testing.T) {
 	s := sessionFor(t)
-	t18, err := s.Fig18(ctx)
+	t18, err := s.Figure(ctx, "18")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t19, err := s.Fig19(ctx)
+	t19, err := s.Figure(ctx, "19")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t17, err := s.Fig17(ctx)
+	t17, err := s.Figure(ctx, "17")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestFig18And19Consistency(t *testing.T) {
 
 func TestFig20OverheadOrdering(t *testing.T) {
 	s := sessionFor(t)
-	tb, err := s.Fig20(ctx)
+	tb, err := s.Figure(ctx, "20")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +151,11 @@ func TestFig20OverheadOrdering(t *testing.T) {
 
 func TestFig21And22Rates(t *testing.T) {
 	s := sessionFor(t)
-	t21, err := s.Fig21(ctx)
+	t21, err := s.Figure(ctx, "21")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t22, err := s.Fig22(ctx)
+	t22, err := s.Figure(ctx, "22")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +184,8 @@ func TestFig21And22Rates(t *testing.T) {
 
 func TestFig23To25Stability(t *testing.T) {
 	s := sessionFor(t)
-	for _, fn := range []func(context.Context) (*Table, error){s.Fig23, s.Fig24, s.Fig25} {
-		tb, err := fn(ctx)
+	for _, name := range []string{"23", "24", "25"} {
+		tb, err := s.Figure(ctx, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestRunAllSubset(t *testing.T) {
 
 func TestUnknownWorkloadFails(t *testing.T) {
 	s := NewSession(Config{Workloads: []string{"999.bogus"}})
-	if _, err := s.Fig16(ctx); err == nil {
+	if _, err := s.Figure(ctx, "16"); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 
 	"stridepf/internal/core"
@@ -28,73 +27,65 @@ func (s *Session) Fig15() string {
 	return out
 }
 
-// Fig16 reproduces Figure 16: the speedup of stride-profile-guided
-// prefetching on the reference input, with profiles collected on the train
-// input by each of the six one-pass profiling methods.
-func (s *Session) Fig16(ctx context.Context) (*Table, error) {
-	methods := PaperMethods()
-	t := &Table{Title: "Figure 16: Speedup of stride prefetching (train profile, ref run)"}
-	for _, m := range methods {
-		t.Columns = append(t.Columns, m.Name)
+// sessionRows is the paper figures' row order: the session's workloads.
+func sessionRows(s *Session) []string { return s.cfg.names() }
+
+// methodNames is the column header of the per-method figures (16, 20-22).
+func methodNames() []string {
+	var names []string
+	for _, m := range PaperMethods() {
+		names = append(names, m.Name)
 	}
-	for _, name := range s.cfg.names() {
-		w, err := s.workload(name)
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, 0, len(methods))
-		for _, m := range methods {
-			pr, err := s.Profile(ctx, name, m, w.Train())
-			if err != nil {
-				return nil, err
-			}
-			e, err := s.Speedup(ctx, name, m.Name+"-train", pr.Profiles, w.Ref())
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e.speedup)
-		}
-		t.AddRow(name, row...)
-	}
-	t.Mean()
-	return t, nil
+	return names
 }
 
-// Fig17 reproduces Figure 17: the percentage of dynamic load references
-// from in-loop and out-loop loads, measured on the reference input.
-func (s *Session) Fig17(ctx context.Context) (*Table, error) {
-	t := &Table{
-		Title:     "Figure 17: Percentage of in-loop and out-loop load references (ref input)",
-		Columns:   []string{"in-loop%", "out-loop%"},
-		Precision: 1,
+// trainSpeedup is a Figure 16 cell: the ref-input speedup of the binary
+// built from method m's train profile, memoised under "<method>-train".
+// The train column of Figures 23-25 is the sample-edge-check cell.
+func (s *Session) trainSpeedup(ctx context.Context, wname string, m MethodSpec) (float64, error) {
+	w, err := s.workload(wname)
+	if err != nil {
+		return 0, err
 	}
-	for _, name := range s.cfg.names() {
-		w, err := s.workload(name)
-		if err != nil {
-			return nil, err
-		}
-		run, err := s.Clean(ctx, name, w.Ref())
-		if err != nil {
-			return nil, err
-		}
-		keys := core.OriginalLoadKeys(w.Program())
-		var total, inLoop uint64
-		for key, il := range keys {
-			c := run.LoadCounts[key]
-			total += c
-			if il {
-				inLoop += c
-			}
-		}
-		if total == 0 {
-			t.AddRow(name, math.NaN(), math.NaN())
-			continue
-		}
-		inPct := 100 * float64(inLoop) / float64(total)
-		t.AddRow(name, inPct, 100-inPct)
+	pr, err := s.Profile(ctx, wname, m, w.Train())
+	if err != nil {
+		return 0, err
 	}
-	t.Mean()
-	return t, nil
+	e, err := s.Speedup(ctx, wname, m.Name+"-train", pr.Profiles, w.Ref())
+	if err != nil {
+		return 0, err
+	}
+	return e.speedup, nil
+}
+
+// loopShareCell is a Figure 17 cell: the percentage of the ref run's
+// dynamic program load references from in-loop (column 0) or out-loop
+// (column 1) loads.
+func loopShareCell(ctx context.Context, s *Session, wname string, col int) (float64, error) {
+	w, err := s.workload(wname)
+	if err != nil {
+		return 0, err
+	}
+	run, err := s.Clean(ctx, wname, w.Ref())
+	if err != nil {
+		return 0, err
+	}
+	var total, inLoop uint64
+	for key, il := range core.OriginalLoadKeys(w.Program()) {
+		c := run.LoadCounts[key]
+		total += c
+		if il {
+			inLoop += c
+		}
+	}
+	if total == 0 {
+		return math.NaN(), nil
+	}
+	inPct := 100 * float64(inLoop) / float64(total)
+	if col == 0 {
+		return inPct, nil
+	}
+	return 100 - inPct, nil
 }
 
 // classifyAll classifies every load profiled by a naive-all train run and
@@ -111,15 +102,9 @@ type classBuckets struct {
 // classify memoises classifyCompute per workload (Figures 18 and 19 both
 // consume it).
 func (s *Session) classify(ctx context.Context, name string) (*classBuckets, error) {
-	key := "classify|" + name
-	v, err := s.do(ctx, key,
-		func() (any, bool) { cb, ok := s.classes[key]; return cb, ok },
-		func(v any) { s.classes[key] = v.(*classBuckets) },
-		func() (any, error) { return s.classifyCompute(ctx, name) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*classBuckets), nil
+	return memo(ctx, s, "classify|"+name, func() (*classBuckets, error) {
+		return s.classifyCompute(ctx, name)
+	})
 }
 
 func (s *Session) classifyCompute(ctx context.Context, name string) (*classBuckets, error) {
@@ -178,124 +163,81 @@ func (s *Session) classifyCompute(ctx context.Context, name string) (*classBucke
 // classColumns is the presentation order of Figures 18/19.
 var classColumns = []prefetch.Class{prefetch.SSST, prefetch.PMST, prefetch.WSST, prefetch.None}
 
-// Fig18 reproduces Figure 18: the distribution of out-loop load references
-// by stride property (naive-all profile), as percentages of all load
-// references.
-func (s *Session) Fig18(ctx context.Context) (*Table, error) {
-	return s.distTable(ctx, "Figure 18: Distribution of out-loop loads by stride properties (% of load refs)",
-		func(cb *classBuckets) map[prefetch.Class]uint64 { return cb.outLoop })
-}
-
-// Fig19 reproduces Figure 19: the distribution of in-loop load references
-// by stride property.
-func (s *Session) Fig19(ctx context.Context) (*Table, error) {
-	return s.distTable(ctx, "Figure 19: Distribution of in-loop loads by stride properties (% of load refs)",
-		func(cb *classBuckets) map[prefetch.Class]uint64 { return cb.inLoop })
-}
-
-func (s *Session) distTable(ctx context.Context, title string, sel func(*classBuckets) map[prefetch.Class]uint64) (*Table, error) {
-	t := &Table{Title: title, Precision: 1}
+// distFigure declares Figure 18 or 19: per stride class, the share of all
+// load references that the naive-all train profile attributes to the
+// loads bucket selects (out-loop or in-loop).
+func distFigure(name, title string, bucket func(*classBuckets) map[prefetch.Class]uint64) figure {
+	var cols []string
 	for _, c := range classColumns {
-		t.Columns = append(t.Columns, c.String())
+		cols = append(cols, c.String())
 	}
-	for _, name := range s.cfg.names() {
-		cb, err := s.classify(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, 0, len(classColumns))
-		bucket := sel(cb)
-		for _, c := range classColumns {
-			if cb.total == 0 {
-				row = append(row, math.NaN())
-				continue
+	return figure{
+		name: name, paper: true, mean: true,
+		title: title, columns: cols, precision: 1, rows: sessionRows,
+		cell: func(ctx context.Context, s *Session, row string, col int) (float64, error) {
+			cb, err := s.classify(ctx, row)
+			if err != nil {
+				return 0, err
 			}
-			row = append(row, 100*float64(bucket[c])/float64(cb.total))
-		}
-		t.AddRow(name, row...)
+			if cb.total == 0 {
+				return math.NaN(), nil
+			}
+			return 100 * float64(bucket(cb)[classColumns[col]]) / float64(cb.total), nil
+		},
 	}
-	t.Mean()
-	return t, nil
 }
 
 // edgeOnlySpec is the overhead baseline: frequency profiling alone.
 var edgeOnlySpec = MethodSpec{Name: instrument.EdgeOnly.String(), Opts: instrument.Options{Method: instrument.EdgeOnly}}
 
-// Fig20 reproduces Figure 20: profiling overhead of each integrated method
-// over edge-frequency profiling alone, on the train input:
+// overhead is Figure 20's formula: the train-run cycles of a profiling
+// method over those of edge-frequency profiling alone,
 // (cycles(method) - cycles(edge-only)) / cycles(edge-only).
-func (s *Session) Fig20(ctx context.Context) (*Table, error) {
-	methods := PaperMethods()
-	t := &Table{Title: "Figure 20: Profiling overhead over edge profiling alone (train input)"}
-	for _, m := range methods {
-		t.Columns = append(t.Columns, m.Name)
+func overhead(pr, base *core.ProfileRun) float64 {
+	return (float64(pr.Stats.Stats.Cycles) - float64(base.Stats.Stats.Cycles)) /
+		float64(base.Stats.Stats.Cycles)
+}
+
+// overheadCell is a Figure 20 cell: method m's profiling overhead on the
+// workload's train input.
+func (s *Session) overheadCell(ctx context.Context, wname string, m MethodSpec) (float64, error) {
+	w, err := s.workload(wname)
+	if err != nil {
+		return 0, err
 	}
-	for _, name := range s.cfg.names() {
-		w, err := s.workload(name)
-		if err != nil {
-			return nil, err
-		}
-		base, err := s.Profile(ctx, name, edgeOnlySpec, w.Train())
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, 0, len(methods))
-		for _, m := range methods {
-			pr, err := s.Profile(ctx, name, m, w.Train())
+	base, err := s.Profile(ctx, wname, edgeOnlySpec, w.Train())
+	if err != nil {
+		return 0, err
+	}
+	pr, err := s.Profile(ctx, wname, m, w.Train())
+	if err != nil {
+		return 0, err
+	}
+	return overhead(pr, base), nil
+}
+
+// rateFigure declares Figure 21 or 22: per method, the percentage of the
+// train run's program load references counted by num (those processed by
+// strideProf after sampling, or by the LFU routine).
+func rateFigure(name, title string, num func(*core.ProfileRun) float64) figure {
+	return figure{
+		name: name, paper: true, mean: true,
+		title: title, columns: methodNames(), precision: 1, rows: sessionRows,
+		cell: func(ctx context.Context, s *Session, row string, col int) (float64, error) {
+			w, err := s.workload(row)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			over := (float64(pr.Stats.Stats.Cycles) - float64(base.Stats.Stats.Cycles)) /
-				float64(base.Stats.Stats.Cycles)
-			row = append(row, over)
-		}
-		t.AddRow(name, row...)
-	}
-	t.Mean()
-	return t, nil
-}
-
-// Fig21 reproduces Figure 21: the percentage of load references processed
-// by the strideProf routine (after sampling), per method.
-func (s *Session) Fig21(ctx context.Context) (*Table, error) {
-	return s.rateTable(ctx, "Figure 21: %% of load references processed in strideProf (after sampling)",
-		func(pr *core.ProfileRun) float64 { return float64(pr.ProcessedRefs) })
-}
-
-// Fig22 reproduces Figure 22: the percentage of load references processed
-// by the LFU routine (the zero-stride fast path bypasses it).
-func (s *Session) Fig22(ctx context.Context) (*Table, error) {
-	return s.rateTable(ctx, "Figure 22: %% of load references processed by LFU",
-		func(pr *core.ProfileRun) float64 { return float64(pr.LFUCalls) })
-}
-
-func (s *Session) rateTable(ctx context.Context, title string, num func(*core.ProfileRun) float64) (*Table, error) {
-	methods := PaperMethods()
-	t := &Table{Title: fmt.Sprintf(title), Precision: 1}
-	for _, m := range methods {
-		t.Columns = append(t.Columns, m.Name)
-	}
-	for _, name := range s.cfg.names() {
-		w, err := s.workload(name)
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, 0, len(methods))
-		for _, m := range methods {
-			pr, err := s.Profile(ctx, name, m, w.Train())
+			pr, err := s.Profile(ctx, row, PaperMethods()[col], w.Train())
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			if pr.ProgramLoadRefs == 0 {
-				row = append(row, math.NaN())
-				continue
+				return math.NaN(), nil
 			}
-			row = append(row, 100*num(pr)/float64(pr.ProgramLoadRefs))
-		}
-		t.AddRow(name, row...)
+			return 100 * num(pr) / float64(pr.ProgramLoadRefs), nil
+		},
 	}
-	t.Mean()
-	return t, nil
 }
 
 // sampleEdgeCheck is the method the input-sensitivity study uses (the
@@ -307,122 +249,37 @@ func sampleEdgeCheck() MethodSpec {
 	}
 }
 
-// sensitivitySpec describes one of the three input-sensitivity studies
-// (Figures 23-25). The specs are shared by the figure methods and the
-// parallel warm-up, so both derive identical memoisation labels.
-type sensitivitySpec struct {
-	fig   string
-	title string
-	cols  []string
-	mix   func(train, ref *core.ProfileRun) []*profile.Combined
-}
-
-func sensitivitySpecs() []sensitivitySpec {
-	return []sensitivitySpec{
-		{
-			fig:   "23",
-			title: "Figure 23: Performance of train and ref profiles (sample-edge-check)",
-			cols:  []string{"train", "ref"},
-			mix: func(train, ref *core.ProfileRun) []*profile.Combined {
-				return []*profile.Combined{
-					train.Profiles,
-					ref.Profiles,
-				}
-			},
-		},
-		{
-			fig:   "24",
-			title: "Figure 24: Performance of train and edge.ref-stride.train",
-			cols:  []string{"train", "edge.ref-stride.train"},
-			mix: func(train, ref *core.ProfileRun) []*profile.Combined {
-				return []*profile.Combined{
-					train.Profiles,
-					{Edge: ref.Profiles.Edge, Stride: train.Profiles.Stride},
-				}
-			},
-		},
-		{
-			fig:   "25",
-			title: "Figure 25: Performance of train and edge.train-stride.ref",
-			cols:  []string{"train", "edge.train-stride.ref"},
-			mix: func(train, ref *core.ProfileRun) []*profile.Combined {
-				return []*profile.Combined{
-					train.Profiles,
-					{Edge: train.Profiles.Edge, Stride: ref.Profiles.Stride},
-				}
-			},
-		},
-	}
-}
-
-// Fig23 reproduces Figure 23: speedup of binaries built from train-input
-// profiles versus ref-input profiles, both measured on the ref input.
-func (s *Session) Fig23(ctx context.Context) (*Table, error) {
-	return s.sensitivityTable(ctx, sensitivitySpecs()[0])
-}
-
-// Fig24 reproduces Figure 24: train versus a mixed profile using the ref
-// edge profile and the train stride profile.
-func (s *Session) Fig24(ctx context.Context) (*Table, error) {
-	return s.sensitivityTable(ctx, sensitivitySpecs()[1])
-}
-
-// Fig25 reproduces Figure 25: train versus a mixed profile using the train
-// edge profile and the ref stride profile.
-func (s *Session) Fig25(ctx context.Context) (*Table, error) {
-	return s.sensitivityTable(ctx, sensitivitySpecs()[2])
-}
-
-func (s *Session) sensitivityTable(ctx context.Context, spec sensitivitySpec) (*Table, error) {
-	m := sampleEdgeCheck()
-	t := &Table{Title: spec.title, Columns: spec.cols}
-	for _, name := range s.cfg.names() {
-		w, err := s.workload(name)
-		if err != nil {
-			return nil, err
-		}
-		trainPR, err := s.Profile(ctx, name, m, w.Train())
-		if err != nil {
-			return nil, err
-		}
-		refPR, err := s.Profile(ctx, name, m, w.Ref())
-		if err != nil {
-			return nil, err
-		}
-		profs := spec.mix(trainPR, refPR)
-		row := make([]float64, 0, len(spec.cols))
-		for i, p := range profs {
-			e, err := s.Speedup(ctx, name, spec.title+spec.cols[i], p, w.Ref())
-			if err != nil {
-				return nil, err
+// sensitivityFigure declares one of the input-sensitivity studies
+// (Figures 23-25): the ref-input speedup of the sample-edge-check train
+// profile (column "train", Figure 16's cell) against that of the profile
+// mix builds from the train and ref profiles (column col). The mixed
+// column is memoised under the label title+col.
+func sensitivityFigure(name, title, col string, mix func(train, ref *profile.Combined) *profile.Combined) figure {
+	return figure{
+		name: name, paper: true, mean: true,
+		title: title, columns: []string{"train", col}, rows: sessionRows,
+		cell: func(ctx context.Context, s *Session, row string, c int) (float64, error) {
+			m := sampleEdgeCheck()
+			if c == 0 {
+				return s.trainSpeedup(ctx, row, m)
 			}
-			row = append(row, e.speedup)
-		}
-		t.AddRow(name, row...)
+			w, err := s.workload(row)
+			if err != nil {
+				return 0, err
+			}
+			train, err := s.Profile(ctx, row, m, w.Train())
+			if err != nil {
+				return 0, err
+			}
+			ref, err := s.Profile(ctx, row, m, w.Ref())
+			if err != nil {
+				return 0, err
+			}
+			e, err := s.Speedup(ctx, row, title+col, mix(train.Profiles, ref.Profiles), w.Ref())
+			if err != nil {
+				return 0, err
+			}
+			return e.speedup, nil
+		},
 	}
-	t.Mean()
-	return t, nil
-}
-
-// RunAll regenerates every figure and writes the tables to w. Unless
-// cfg.Jobs pins the session to one worker, the pipeline cells are
-// precomputed in parallel first; the tables are then assembled serially
-// from the memoised cells, so the output is byte-identical to a serial run.
-func RunAll(ctx context.Context, w io.Writer, cfg Config) error {
-	s := NewSession(cfg)
-	if cfg.jobs() != 1 {
-		s.Warm(ctx, cfg.jobs())
-	}
-	fmt.Fprintln(w, s.Fig15())
-	for _, name := range FigureNames() {
-		if name == "15" {
-			continue
-		}
-		t, err := s.Figure(ctx, name)
-		if err != nil {
-			return fmt.Errorf("figure %s: %w", name, err)
-		}
-		fmt.Fprintln(w, t)
-	}
-	return nil
 }

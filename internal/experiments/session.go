@@ -120,22 +120,20 @@ type Session struct {
 	hwpfFactory func() machine.HWPrefetcher
 	hwpfErr     error
 
+	// mu guards memo and inflight. memo holds every computed stage result
+	// under its key ("profile|w|method|input", "clean|w|input",
+	// "speedup|w|label|input", "classify|w", "arenabase|w|hier",
+	// "arena|w|hier|scheme", "paths|w"); inflight holds the computations
+	// under way.
 	mu       sync.Mutex
+	memo     map[string]any
 	inflight map[string]*flight
-
-	profiles map[string]*core.ProfileRun
-	cleans   map[string]core.RunStats
-	speedups map[string]*speedupEntry
-	classes    map[string]*classBuckets
-	arenas     map[string]*ArenaCell
-	arenaRef   map[string]core.RunStats
-	pathsCells map[string]*PathsCell
 }
 
+// speedupEntry is a memoised prefetched measurement: the clean run's
+// cycles over the prefetched run's.
 type speedupEntry struct {
-	run      core.RunStats
-	feedback *prefetch.Result
-	speedup  float64
+	speedup float64
 }
 
 // flight is one in-progress computation shared by concurrent callers of the
@@ -150,14 +148,8 @@ type flight struct {
 func NewSession(cfg Config) *Session {
 	s := &Session{
 		cfg:      cfg,
+		memo:     make(map[string]any),
 		inflight: make(map[string]*flight),
-		profiles: make(map[string]*core.ProfileRun),
-		cleans:   make(map[string]core.RunStats),
-		speedups: make(map[string]*speedupEntry),
-		classes:  make(map[string]*classBuckets),
-		arenas:     make(map[string]*ArenaCell),
-		arenaRef:   make(map[string]core.RunStats),
-		pathsCells: make(map[string]*PathsCell),
 	}
 	if cfg.HWPF != "" {
 		if _, err := hwpf.NewScheme(cfg.HWPF, cfg.HWPFConfig); err != nil {
@@ -173,56 +165,63 @@ func NewSession(cfg Config) *Session {
 	return s
 }
 
-// do memoises compute under key with per-key singleflight: concurrent
-// callers of the same key block on one computation instead of duplicating
-// it. lookup and store run under the session lock and read/write the memo
-// map for the key's kind. Errors are propagated to every waiter of the
-// flight but not memoised, so a later caller retries and reports the error
-// itself.
+// memo returns the session's value for key, running compute at most once
+// per key under per-key singleflight: concurrent callers of the same key
+// block on one computation instead of duplicating it. Errors are
+// propagated to every waiter of the flight but not memoised, so a later
+// caller retries and reports the error itself.
 //
 // Cancellation is per caller: a waiter whose ctx expires stops waiting
 // (the computation keeps running for whoever else wants it), and a waiter
 // that receives a cancellation error from someone else's flight retries
 // the computation under its own, still-live ctx.
-func (s *Session) do(ctx context.Context, key string, lookup func() (any, bool), store func(any), compute func() (any, error)) (any, error) {
+func memo[T any](ctx context.Context, s *Session, key string, compute func() (T, error)) (T, error) {
+	var zero T
 	if s.hwpfErr != nil {
-		return nil, s.hwpfErr
+		return zero, s.hwpfErr
 	}
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return zero, err
 		}
 		s.mu.Lock()
-		if v, ok := lookup(); ok {
+		if v, ok := s.memo[key]; ok {
 			s.mu.Unlock()
-			return v, nil
+			return v.(T), nil
 		}
 		if f, ok := s.inflight[key]; ok {
 			s.mu.Unlock()
 			select {
 			case <-f.done:
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return zero, ctx.Err()
 			}
 			if isCancellation(f.err) && ctx.Err() == nil {
 				continue // the computing caller was cancelled; we were not
 			}
-			return f.val, f.err
+			if f.err != nil {
+				return zero, f.err
+			}
+			return f.val.(T), nil
 		}
 		f := &flight{done: make(chan struct{})}
 		s.inflight[key] = f
 		s.mu.Unlock()
 
-		f.val, f.err = compute()
+		v, err := compute()
+		f.val, f.err = v, err
 
 		s.mu.Lock()
-		if f.err == nil {
-			store(f.val)
+		if err == nil {
+			s.memo[key] = v
 		}
 		delete(s.inflight, key)
 		s.mu.Unlock()
 		close(f.done)
-		return f.val, f.err
+		if err != nil {
+			return zero, err
+		}
+		return v, nil
 	}
 }
 
@@ -296,211 +295,108 @@ func (s *Session) ClassifyProfile(wname string, prof *profile.Combined, wsst boo
 // Profile returns the memoised profiling run of the workload under the
 // given method and input.
 func (s *Session) Profile(ctx context.Context, wname string, m MethodSpec, in core.Input) (*core.ProfileRun, error) {
-	key := "profile|" + wname + "|" + m.Name + "|" + in.Name
-	v, err := s.do(ctx, key,
-		func() (any, bool) { pr, ok := s.profiles[key]; return pr, ok },
-		func(v any) { s.profiles[key] = v.(*core.ProfileRun) },
-		func() (any, error) {
-			w, err := s.workload(wname)
-			if err != nil {
-				return nil, err
-			}
-			pr, err := core.ProfilePass(w, in, m.Opts, s.mcfg(ctx))
-			return pr, ctxErr(ctx, err)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.ProfileRun), nil
+	return memo(ctx, s, "profile|"+wname+"|"+m.Name+"|"+in.Name, func() (*core.ProfileRun, error) {
+		w, err := s.workload(wname)
+		if err != nil {
+			return nil, err
+		}
+		pr, err := core.ProfilePass(w, in, m.Opts, s.mcfg(ctx))
+		return pr, ctxErr(ctx, err)
+	})
 }
 
 // Clean returns the memoised uninstrumented run of the workload on input.
 func (s *Session) Clean(ctx context.Context, wname string, in core.Input) (core.RunStats, error) {
-	key := "clean|" + wname + "|" + in.Name
-	v, err := s.do(ctx, key,
-		func() (any, bool) { st, ok := s.cleans[key]; return st, ok },
-		func(v any) { s.cleans[key] = v.(core.RunStats) },
-		func() (any, error) {
-			w, err := s.workload(wname)
-			if err != nil {
-				return nil, err
-			}
-			st, err := core.Execute(w.Program(), w, in, s.mcfg(ctx))
-			return st, ctxErr(ctx, err)
-		})
-	if err != nil {
-		return core.RunStats{}, err
-	}
-	return v.(core.RunStats), nil
+	return memo(ctx, s, "clean|"+wname+"|"+in.Name, func() (core.RunStats, error) {
+		w, err := s.workload(wname)
+		if err != nil {
+			return core.RunStats{}, err
+		}
+		st, err := core.Execute(w.Program(), w, in, s.mcfg(ctx))
+		return st, ctxErr(ctx, err)
+	})
 }
 
 // Speedup builds the prefetched binary from prof (labelled profLabel for
 // memoisation) and measures it against the clean binary on input in.
 func (s *Session) Speedup(ctx context.Context, wname, profLabel string, prof *profile.Combined, in core.Input) (*speedupEntry, error) {
 	key := "speedup|" + wname + "|" + profLabel + "|" + in.Name
-	v, err := s.do(ctx, key,
-		func() (any, bool) { e, ok := s.speedups[key]; return e, ok },
-		func(v any) { s.speedups[key] = v.(*speedupEntry) },
-		func() (any, error) {
-			w, err := s.workload(wname)
-			if err != nil {
-				return nil, err
-			}
-			base, err := s.Clean(ctx, wname, in)
-			if err != nil {
-				return nil, err
-			}
-			fb, err := core.BuildPrefetched(w, prof, s.cfg.Prefetch)
-			if err != nil {
-				return nil, err
-			}
-			mcfg := s.mcfg(ctx)
-			var col *obs.Collector
-			if s.cfg.Metrics != nil || s.cfg.Trace != nil {
-				col = obs.NewCollector(s.cfg.Trace.WithRun(key))
-				mcfg.Obs = col
-			}
-			run, err := core.Execute(fb.Prog, w, in, mcfg)
-			if err != nil {
-				return nil, ctxErr(ctx, err)
-			}
-			if col != nil && s.cfg.Metrics != nil {
-				rep := obs.BuildReport(key, col)
-				rep.Workload = wname
-				rep.Label = profLabel + "|" + in.Name
-				s.cfg.Metrics.Register(rep)
-			}
-			if run.Ret != base.Ret {
-				return nil, fmt.Errorf("experiments: %s: prefetched binary diverged (%d vs %d)",
-					wname, run.Ret, base.Ret)
-			}
-			return &speedupEntry{
-				run:      run,
-				feedback: fb,
-				speedup:  float64(base.Stats.Cycles) / float64(run.Stats.Cycles),
-			}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*speedupEntry), nil
+	return memo(ctx, s, key, func() (*speedupEntry, error) {
+		w, err := s.workload(wname)
+		if err != nil {
+			return nil, err
+		}
+		base, err := s.Clean(ctx, wname, in)
+		if err != nil {
+			return nil, err
+		}
+		fb, err := core.BuildPrefetched(w, prof, s.cfg.Prefetch)
+		if err != nil {
+			return nil, err
+		}
+		mcfg := s.mcfg(ctx)
+		var col *obs.Collector
+		if s.cfg.Metrics != nil || s.cfg.Trace != nil {
+			col = obs.NewCollector(s.cfg.Trace.WithRun(key))
+			mcfg.Obs = col
+		}
+		run, err := core.Execute(fb.Prog, w, in, mcfg)
+		if err != nil {
+			return nil, ctxErr(ctx, err)
+		}
+		if col != nil && s.cfg.Metrics != nil {
+			rep := obs.BuildReport(key, col)
+			rep.Workload = wname
+			rep.Label = profLabel + "|" + in.Name
+			s.cfg.Metrics.Register(rep)
+		}
+		if run.Ret != base.Ret {
+			return nil, fmt.Errorf("experiments: %s: prefetched binary diverged (%d vs %d)",
+				wname, run.Ret, base.Ret)
+		}
+		return &speedupEntry{speedup: float64(base.Stats.Cycles) / float64(run.Stats.Cycles)}, nil
+	})
 }
 
-// warmTasks returns one closure per pipeline cell the named figures need.
-// Figures not in figs are skipped; an empty figs selects all of them. Task
-// errors are deliberately dropped: errors are not memoised, so the serial
-// figure assembly recomputes the failing cell and reports the error with
-// its usual context.
-func (s *Session) warmTasks(ctx context.Context, figs map[string]bool) []func() {
-	want := func(names ...string) bool {
-		if len(figs) == 0 {
-			return true
-		}
-		for _, n := range names {
-			if figs[n] {
-				return true
-			}
-		}
-		return false
-	}
-	var tasks []func()
-	for _, name := range s.cfg.names() {
-		name := name
-		w := workloads.Get(name)
-		if w == nil {
-			continue // the serial pass reports unknown workloads
-		}
-		train, ref := w.Train(), w.Ref()
-		if want("16", "17", "23", "24", "25") {
-			tasks = append(tasks, func() { _, _ = s.Clean(ctx, name, ref) })
-		}
-		if want("16", "20", "21", "22") {
-			for _, m := range PaperMethods() {
-				m := m
-				tasks = append(tasks, func() {
-					pr, err := s.Profile(ctx, name, m, train)
-					if err != nil || !want("16") {
-						return
-					}
-					_, _ = s.Speedup(ctx, name, m.Name+"-train", pr.Profiles, ref)
-				})
-			}
-		}
-		if want("20") {
-			tasks = append(tasks, func() { _, _ = s.Profile(ctx, name, edgeOnlySpec, train) })
-		}
-		if want("18", "19") {
-			tasks = append(tasks, func() { _, _ = s.classify(ctx, name) })
-		}
-		// The arena is opt-in only: it is not part of the paper's figure
-		// set, so the empty-figs "warm everything" default must not compute
-		// it (RunAll and `-figure all` stay byte-identical to pre-arena).
-		if figs["arena"] {
-			for _, h := range ArenaHierarchies() {
-				h := h
-				for _, scheme := range hwpf.Schemes() {
-					scheme := scheme
-					tasks = append(tasks, func() { _, _ = s.ArenaCell(ctx, name, h.Name, scheme) })
-				}
-			}
-		}
-		// The paths figure is opt-in for the same reason as the arena.
-		if figs["paths"] {
-			tasks = append(tasks, func() { _, _ = s.PathsCell(ctx, name) })
-		}
-		if want("23", "24", "25") {
-			tasks = append(tasks, func() {
-				m := sampleEdgeCheck()
-				trainPR, err := s.Profile(ctx, name, m, train)
-				if err != nil {
-					return
-				}
-				refPR, err := s.Profile(ctx, name, m, ref)
-				if err != nil {
-					return
-				}
-				for _, spec := range sensitivitySpecs() {
-					if !want(spec.fig) {
-						continue
-					}
-					for i, p := range spec.mix(trainPR, refPR) {
-						_, _ = s.Speedup(ctx, name, spec.title+spec.cols[i], p, ref)
-					}
-				}
-			})
-		}
-	}
-	return tasks
-}
-
-// Warm precomputes the pipeline cells the named figures ("16" through "25";
-// none selects all) will need, fanning the independent (workload, method,
-// input) cells out over a pool of up to jobs workers (jobs <= 0 selects
-// GOMAXPROCS). Warming is purely an optimisation: the figure methods
-// produce byte-identical tables — computed from the memoised cells — with
-// or without it. Cancelling ctx stops dispatching new cells (and aborts
-// the in-flight ones); Warm then returns early with the memo partially
-// populated, which is safe for the same reason warming is optional.
+// Warm precomputes the cells of the named figures (none selects the paper
+// figures, as RunAll renders them), fanning the registry's (row, column)
+// cells out over a pool of up to jobs workers (jobs <= 0 selects
+// GOMAXPROCS). Unknown names and text-only figures contribute no cells.
+// Warming is purely an optimisation: the tables are assembled serially by
+// the same cell functions, so they are byte-identical with or without it.
+// Cell errors are dropped here: errors are not memoised, so the serial
+// assembly recomputes a failing cell and reports it. Cancelling ctx stops
+// dispatching new cells (and aborts the in-flight ones); Warm then returns
+// early with the memo partially populated, which is safe for the same
+// reason warming is optional.
 func (s *Session) Warm(ctx context.Context, jobs int, figs ...string) {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	// The per-program CFG analysis is the one stage that writes to shared
-	// workload IR; run it before the fan-out so workers only read.
-	for _, name := range s.cfg.names() {
-		if w := workloads.Get(name); w != nil {
-			core.EnsureAnalyzed(w.Program())
+	var tasks []func()
+	for _, f := range selectFigures(figs) {
+		if f.cell == nil {
+			continue
+		}
+		rows := f.rows(s)
+		for _, row := range rows {
+			// The per-program CFG analysis is the one stage that writes to
+			// shared workload IR; run it before the fan-out so workers only
+			// read.
+			if w, err := s.workload(rowWorkload(row)); err == nil {
+				core.EnsureAnalyzed(w.Program())
+			}
+		}
+		// Column-major: the columns of one row often read the same stage
+		// (an arena or paths cell, a clean run), and a worker whose cell
+		// needs a stage in flight on another worker waits for it, so
+		// consecutive tasks take different rows.
+		for col := range f.columns {
+			for _, row := range rows {
+				tasks = append(tasks, func() { _, _ = f.cell(ctx, s, row, col) })
+			}
 		}
 	}
-	sel := make(map[string]bool, len(figs))
-	for _, f := range figs {
-		sel[f] = true
-	}
-	if sel["paths"] {
-		core.EnsureAnalyzed(workloads.Branchy().Program())
-		core.EnsureAnalyzed(workloads.Weave().Program())
-	}
-	tasks := s.warmTasks(ctx, sel)
 	if jobs > len(tasks) {
 		jobs = len(tasks)
 	}

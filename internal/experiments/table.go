@@ -1,8 +1,10 @@
 // Package experiments reproduces every evaluation figure of the paper
-// (Figures 16 through 25) on the synthetic SPECINT2000 workloads: speedups
+// (Figures 15 through 25) on the synthetic SPECINT2000 workloads: speedups
 // per profiling method, in-loop/out-loop reference mixes, stride-class
 // distributions, profiling overheads, strideProf/LFU processing rates, and
-// the train/ref input-sensitivity studies.
+// the train/ref input-sensitivity studies, plus the opt-in prefetcher-arena
+// and path-profiling figures. Each figure is one entry of the registry in
+// figure.go; a Session memoises the pipeline stages its cells read.
 package experiments
 
 import (

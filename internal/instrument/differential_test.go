@@ -13,7 +13,7 @@ import (
 // returns the checksum.
 func runProg(t *testing.T, res *Result, prog *ir.Program) int64 {
 	t.Helper()
-	m, err := machine.New(prog, machine.WithMaxSteps(50_000_000))
+	m, err := machine.New(prog, machine.WithConfig(machine.Config{MaxSteps: 50_000_000}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestDifferentialEdgeCounts(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m, err := machine.New(res.Prog, machine.WithMaxSteps(50_000_000))
+		m, err := machine.New(res.Prog, machine.WithConfig(machine.Config{MaxSteps: 50_000_000}))
 		if err != nil {
 			return false
 		}

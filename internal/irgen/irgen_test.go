@@ -21,7 +21,7 @@ func TestGeneratedProgramsVerify(t *testing.T) {
 func TestGeneratedProgramsTerminate(t *testing.T) {
 	prop := func(seed uint64) bool {
 		prog := Generate(seed, Config{})
-		m, err := machine.New(prog, machine.WithMaxSteps(50_000_000))
+		m, err := machine.New(prog, machine.WithConfig(machine.Config{MaxSteps: 50_000_000}))
 		if err != nil {
 			return false
 		}

@@ -384,8 +384,8 @@ func (m *Machine) translateBlock(c *code, bi int32) *xblock {
 	}
 
 	var g [groupMax]micro
-	ng := 0       // micros pending in g
-	gsrc := 0     // source instructions those micros cover (folds cover two)
+	ng := 0   // micros pending in g
+	gsrc := 0 // source instructions those micros cover (folds cover two)
 	gcost := uint32(0)
 	flush := func() {
 		if ng == 0 {

@@ -81,9 +81,9 @@ type Config struct {
 	// Obs, when non-nil, collects prefetch-effectiveness metrics (accuracy,
 	// coverage, timeliness per prefetch class; see package obs). Prefetch
 	// instructions are attributed to their class via the typed
-	// ir.Instr.PFClass field the insertion passes stamp, with the legacy
-	// marker comments ("ssst-prefetch" ...) as a deprecated fallback for IR
-	// predating the field. Observation never changes simulated behavior.
+	// ir.Instr.PFClass field the insertion passes stamp (and the IR parser
+	// decodes from a listing's marker comments). Observation never changes
+	// simulated behavior.
 	// Call FinishObs after the final Run to close the lifecycle accounting.
 	Obs *obs.Collector
 	// Interrupt, when non-nil, aborts a running simulation shortly after the
@@ -167,13 +167,13 @@ type decoded struct {
 	hookID   int64
 	loadSlot int32  // index into per-function load counters, or -1
 	pc       uint64 // stable static-load identifier for hardware prefetchers
-	pfClass  uint8  // obs.Class of an OpPrefetch (typed PFClass, marker-comment fallback)
+	pfClass  uint8  // obs.Class of an OpPrefetch (from its typed PFClass)
 	src      *ir.Instr
 }
 
 // obsClassOf maps an OpPrefetch's typed provenance (ir.Instr.PFClass) to
-// its obs class, falling back to the deprecated marker-comment encoding for
-// IR produced before the typed field existed (old .mc/.ir files).
+// its obs class. The insertion passes stamp the field, and ir.ParseProgram
+// decodes a listing's marker comments into it.
 func obsClassOf(in *ir.Instr) obs.Class {
 	switch in.PFClass {
 	case ir.PFSSST:
@@ -188,22 +188,6 @@ func obsClassOf(in *ir.Instr) obs.Class {
 		// Path-predicated splits are SSSTs specialised per path; the
 		// observer accounts them with the SSST class they stand in for.
 		return obs.ClassSSST
-	}
-	return legacyPrefetchClass(in.Comment)
-}
-
-// legacyPrefetchClass decodes the deprecated marker-comment encoding of a
-// prefetch's class.
-func legacyPrefetchClass(comment string) obs.Class {
-	switch comment {
-	case "ssst-prefetch":
-		return obs.ClassSSST
-	case "pmst-prefetch", "outloop-dynamic":
-		return obs.ClassPMST
-	case "wsst-prefetch":
-		return obs.ClassWSST
-	case "indirect-prefetch":
-		return obs.ClassIndirect
 	}
 	return obs.ClassUnknown
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"stridepf/internal/ir"
+	"stridepf/internal/obs"
 )
 
 // sumProgram builds main() that sums the n-element linked list rooted at
@@ -445,7 +446,7 @@ func TestInterrupt(t *testing.T) {
 	// A closed channel aborts the run at the next poll point.
 	ch := make(chan struct{})
 	close(ch)
-	m, err := New(build(), WithInterrupt(ch))
+	m, err := New(build(), WithConfig(Config{Interrupt: ch}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +456,7 @@ func TestInterrupt(t *testing.T) {
 
 	// Closing mid-run stops the (otherwise step-limited) loop early.
 	ch2 := make(chan struct{})
-	m2, err := New(build(), WithMaxSteps(1<<40), WithInterrupt(ch2))
+	m2, err := New(build(), WithConfig(Config{MaxSteps: 1 << 40, Interrupt: ch2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,8 +471,35 @@ func TestInterrupt(t *testing.T) {
 	}
 
 	// A nil channel (the default) changes nothing.
-	m3, _ := New(build(), WithMaxSteps(1000))
+	m3, _ := New(build(), WithConfig(Config{MaxSteps: 1000}))
 	if _, err := m3.Run(); !errors.Is(err, ErrMaxSteps) {
 		t.Errorf("nil-interrupt err = %v, want ErrMaxSteps", err)
+	}
+}
+
+// TestParsedPrefetchMarkerClass checks that a listing whose prefetch
+// carries only the `; ssst-prefetch` marker comment is observed as an SSST
+// prefetch: the parser decodes the marker into ir.Instr.PFClass, the one
+// field the observer reads.
+func TestParsedPrefetchMarkerClass(t *testing.T) {
+	prog, err := ir.ParseProgram("func main() regs=2 {\nentry0:\n\tr0 = const 256\n\tr1 = alloc r0\n" +
+		"\tprefetch [r1+64]  ; ssst-prefetch\n\tr0 = load [r1+64]\n\tret r0\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := obs.NewCollector(nil)
+	m, err := New(prog, WithObs(col))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	m.FinishObs()
+	if got := col.Classes[obs.ClassSSST].Attempts(); got != 1 {
+		t.Errorf("SSST attempts = %d, want 1", got)
+	}
+	if got := col.Classes[obs.ClassUnknown].Attempts(); got != 0 {
+		t.Errorf("unclassified attempts = %d, want 0", got)
 	}
 }

@@ -19,11 +19,6 @@ func WithConfig(cfg Config) Option {
 	return func(c *Config) { *c = cfg }
 }
 
-// WithMaxSteps aborts runaway programs after n instructions.
-func WithMaxSteps(n uint64) Option {
-	return func(c *Config) { c.MaxSteps = n }
-}
-
 // WithHWPrefetch attaches a hardware prefetcher model observing the demand
 // load stream.
 func WithHWPrefetch(p HWPrefetcher) Option {
@@ -45,13 +40,6 @@ func WithDisablePrefetch() Option {
 // WithObs attaches a prefetch-effectiveness collector (see package obs).
 func WithObs(col *obs.Collector) Option {
 	return func(c *Config) { c.Obs = col }
-}
-
-// WithInterrupt aborts the simulation with ErrInterrupted shortly after ch
-// becomes readable; pass a context's Done channel to thread request
-// cancellation into long runs.
-func WithInterrupt(ch <-chan struct{}) Option {
-	return func(c *Config) { c.Interrupt = ch }
 }
 
 // WithDisableBlockCache forces the per-instruction reference interpreter

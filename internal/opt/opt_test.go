@@ -11,7 +11,7 @@ import (
 
 func runProg(t *testing.T, prog *ir.Program) (int64, uint64) {
 	t.Helper()
-	m, err := machine.New(prog, machine.WithMaxSteps(50_000_000))
+	m, err := machine.New(prog, machine.WithConfig(machine.Config{MaxSteps: 50_000_000}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestPassDisabling(t *testing.T) {
 
 func runSafely(t *testing.T, prog *ir.Program) (int64, uint64, error) {
 	t.Helper()
-	m, err := machine.New(prog, machine.WithMaxSteps(50_000_000))
+	m, err := machine.New(prog, machine.WithConfig(machine.Config{MaxSteps: 50_000_000}))
 	if err != nil {
 		return 0, 0, err
 	}

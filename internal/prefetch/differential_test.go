@@ -29,7 +29,7 @@ func TestDifferentialPrefetch(t *testing.T) {
 	}
 
 	run := func(prog *ir.Program, res *instrument.Result) (int64, bool) {
-		m, err := machine.New(prog, machine.WithMaxSteps(50_000_000))
+		m, err := machine.New(prog, machine.WithConfig(machine.Config{MaxSteps: 50_000_000}))
 		if err != nil {
 			return 0, false
 		}
@@ -55,7 +55,7 @@ func TestDifferentialPrefetch(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m, err := machine.New(inst.Prog, machine.WithMaxSteps(50_000_000))
+		m, err := machine.New(inst.Prog, machine.WithConfig(machine.Config{MaxSteps: 50_000_000}))
 		if err != nil {
 			return false
 		}

@@ -6,86 +6,55 @@ import (
 	"io"
 )
 
-// On-disk / on-wire format versions understood by the codec.
-//
-// Version 1 is the original format: edges, entries and stride summaries,
-// with the fine-sampling interval recorded only per summary. Version 2
-// lifts the interval into the header so a reader can reject incompatible
-// profiles before looking at a single summary, and so producers that
-// downsample differently cannot be merged by accident (see Merge).
-// Version 3 adds the optional per-path stride buckets of the "paths"
-// instrumentation scheme (stride.Summary.Paths); profiles without path
-// data encode identically to version 2 apart from the header number.
-const (
-	VersionLegacy  = 1
-	VersionV2      = 2
-	VersionCurrent = 3
-)
+// VersionCurrent is the one on-disk / on-wire format the codec reads and
+// writes. Its header records the fine-sampling interval, so a reader can
+// reject incompatible profiles before looking at a single summary and
+// producers that downsample differently cannot be merged by accident (see
+// Merge), and its stride summaries may carry the per-path buckets of the
+// "paths" instrumentation scheme (stride.Summary.Paths). Files of the
+// earlier versions 1 and 2 are rejected.
+const VersionCurrent = 3
 
-// Codec serialises and deserialises combined profiles at a pinned format
-// version. The zero value encodes VersionCurrent and decodes every
-// supported version, which is what all the tools want; pin Version to
-// VersionLegacy only to produce files for pre-v2 readers.
+// Codec serialises and deserialises combined profiles.
 //
 // Decode enforces the fine-interval consistency rule that Merge enforces
 // across runs, but within a single file and at read time: every summary
-// sampled by the runtime must carry the same interval, and under v2 that
-// interval must match the header. A corrupted or hand-spliced profile
-// therefore fails at the I/O boundary instead of skewing a later merge.
-type Codec struct {
-	// Version is the format written by Encode; zero means VersionCurrent.
-	Version int
-}
+// sampled by the runtime must carry the same interval, and that interval
+// must match the header. A corrupted or hand-spliced profile therefore
+// fails at the I/O boundary instead of skewing a later merge.
+type Codec struct{}
 
 // DefaultCodec is the codec the package-level Write/Read/Save/Load helpers
 // and the cmd tools use.
 var DefaultCodec = Codec{}
 
-// Encode serialises p as JSON at the codec's version.
-func (c Codec) Encode(w io.Writer, p *Combined) error {
-	v := c.Version
-	if v == 0 {
-		v = VersionCurrent
-	}
-	if v != VersionLegacy && v != VersionV2 && v != VersionCurrent {
-		return fmt.Errorf("profile: encode: unsupported version %d", v)
-	}
-	if v < VersionCurrent {
-		for _, s := range p.Stride.Summaries() {
-			if len(s.Paths) > 0 {
-				return fmt.Errorf(
-					"profile: encode: version %d cannot carry the path buckets of load %s#%d",
-					v, s.Key.Func, s.Key.ID)
-			}
-		}
-	}
+// Encode serialises p as JSON.
+func (Codec) Encode(w io.Writer, p *Combined) error {
 	fi, err := fineInterval(p)
 	if err != nil {
 		return fmt.Errorf("profile: encode: %w", err)
 	}
 	ff := fileFormat{
-		Version: v,
-		Edges:   p.Edge.Edges(),
-		Entries: p.Edge.entries,
-		Strides: p.Stride.Summaries(),
-	}
-	if v >= VersionV2 {
-		ff.FineInterval = fi
+		Version:      VersionCurrent,
+		FineInterval: fi,
+		Edges:        p.Edge.Edges(),
+		Entries:      p.Edge.entries,
+		Strides:      p.Stride.Summaries(),
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(ff)
 }
 
-// Decode deserialises a combined profile, accepting any supported version
-// and validating fine-interval consistency.
-func (c Codec) Decode(r io.Reader) (*Combined, error) {
+// Decode deserialises a combined profile, validating its version and
+// fine-interval consistency.
+func (Codec) Decode(r io.Reader) (*Combined, error) {
 	var ff fileFormat
 	if err := json.NewDecoder(r).Decode(&ff); err != nil {
 		return nil, fmt.Errorf("profile: decode: %w", err)
 	}
-	if ff.Version != VersionLegacy && ff.Version != VersionV2 && ff.Version != VersionCurrent {
-		return nil, fmt.Errorf("profile: unsupported version %d", ff.Version)
+	if ff.Version != VersionCurrent {
+		return nil, fmt.Errorf("profile: unsupported version %d (want %d)", ff.Version, VersionCurrent)
 	}
 	ep := NewEdgeProfile()
 	for _, e := range ff.Edges {
@@ -99,7 +68,7 @@ func (c Codec) Decode(r io.Reader) (*Combined, error) {
 	if err != nil {
 		return nil, fmt.Errorf("profile: decode: %w", err)
 	}
-	if ff.Version >= VersionV2 && ff.FineInterval != 0 && fi != 0 && ff.FineInterval != fi {
+	if ff.FineInterval != 0 && fi != 0 && ff.FineInterval != fi {
 		return nil, fmt.Errorf(
 			"profile: decode: header fine interval %d disagrees with summaries sampled at %d",
 			ff.FineInterval, fi)
@@ -108,9 +77,7 @@ func (c Codec) Decode(r io.Reader) (*Combined, error) {
 	// shard whose strides were all evicted): the profile stays incompatible
 	// with differently-sampled shards and re-encodes with its interval
 	// intact instead of silently degrading to 0.
-	if ff.Version >= VersionV2 {
-		out.Interval = ff.FineInterval
-	}
+	out.Interval = ff.FineInterval
 	return out, nil
 }
 

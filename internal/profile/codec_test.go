@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -40,23 +41,7 @@ func TestCodecCurrentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecV2WriteAndRead pins the v2 compatibility contract: a pinned v2
-// codec still writes a v2 header, and v2 files still decode.
-func TestCodecV2WriteAndRead(t *testing.T) {
-	var buf bytes.Buffer
-	if err := (Codec{Version: VersionV2}).Encode(&buf, codecFixture(4)); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"version": 2`) {
-		t.Errorf("pinned v2 codec did not write version 2:\n%s", buf.String())
-	}
-	if _, err := Read(&buf); err != nil {
-		t.Fatalf("reading v2 format: %v", err)
-	}
-}
-
-// TestCodecPathBuckets: per-path buckets round-trip under v3 and are
-// refused by the pinned older versions rather than silently dropped.
+// TestCodecPathBuckets: per-path buckets round-trip.
 func TestCodecPathBuckets(t *testing.T) {
 	p := mkCombined(10, 3, stride.Summary{
 		Key: machine.LoadKey{Func: "main", ID: 1}, TotalStrides: 10, FineInterval: 1,
@@ -78,23 +63,36 @@ func TestCodecPathBuckets(t *testing.T) {
 	if !ok || len(s.Paths) != 2 || s.Paths[1].ID != 3 || s.Paths[1].TotalStrides != 4 {
 		t.Errorf("path buckets lost in round trip: %+v", s.Paths)
 	}
-	for _, v := range []int{VersionLegacy, VersionV2} {
-		if err := (Codec{Version: v}).Encode(&bytes.Buffer{}, p); err == nil {
-			t.Errorf("version %d encoded path buckets, want error", v)
-		}
-	}
 }
 
+// TestCodecLegacyWriteAndRead pins what is left of the retired v1 format:
+// the codec never writes it, and a well-formed v1 file is refused.
 func TestCodecLegacyWriteAndRead(t *testing.T) {
+	checkRetiredVersion(t, 1,
+		`{"version": 1, "edges": [{"key": {"func": "main", "from": 0, "to": 1}, "count": 10}], "strides": []}`)
+}
+
+// TestCodecV2WriteAndRead pins what is left of the retired v2 format: the
+// codec never writes it, and a well-formed v2 file is refused.
+func TestCodecV2WriteAndRead(t *testing.T) {
+	checkRetiredVersion(t, 2,
+		`{"version": 2, "fineInterval": 4, "edges": [{"key": {"func": "main", "from": 0, "to": 1}, "count": 10}], "strides": []}`)
+}
+
+// checkRetiredVersion asserts that encoding writes the current version
+// rather than version v, and that src, a file of version v, fails to
+// decode with an unsupported-version error.
+func checkRetiredVersion(t *testing.T, v int, src string) {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := (Codec{Version: VersionLegacy}).Encode(&buf, codecFixture(4)); err != nil {
+	if err := DefaultCodec.Encode(&buf, codecFixture(4)); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(buf.String(), "fineInterval") {
-		t.Errorf("v1 output carries a v2 header field:\n%s", buf.String())
+	if strings.Contains(buf.String(), fmt.Sprintf(`"version": %d`, v)) {
+		t.Errorf("codec wrote retired version %d:\n%s", v, buf.String())
 	}
-	if _, err := Read(&buf); err != nil {
-		t.Fatalf("reading legacy format: %v", err)
+	if _, err := Read(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+		t.Errorf("decoding %s: err = %v, want unsupported version", src, err)
 	}
 }
 
@@ -102,19 +100,16 @@ func TestCodecRejectsUnknownVersion(t *testing.T) {
 	if _, err := Read(strings.NewReader(`{"version": 9, "edges": [], "strides": []}`)); err == nil {
 		t.Fatal("decoding version 9 succeeded, want error")
 	}
-	if err := (Codec{Version: 9}).Encode(&bytes.Buffer{}, codecFixture(0)); err == nil {
-		t.Fatal("encoding version 9 succeeded, want error")
-	}
 }
 
 // TestCodecHeaderIntervalSurvivesEvictedSummaries is the regression test
-// for the v2 header interval being dropped when no summary carries one: a
+// for the header interval being dropped when no summary carries one: a
 // sampled shard whose strides were all evicted must round-trip with its
 // interval intact and must still refuse to merge with a differently-sampled
 // shard.
 func TestCodecHeaderIntervalSurvivesEvictedSummaries(t *testing.T) {
 	src := `{
-  "version": 2,
+  "version": 3,
   "fineInterval": 4,
   "edges": [{"key": {"func": "main", "from": 0, "to": 1}, "count": 9}],
   "strides": []
@@ -183,7 +178,7 @@ func TestCodecDecodeFineIntervalMismatch(t *testing.T) {
 	// Summaries sampled at different intervals can only appear in a file
 	// spliced together by hand; the decoder must reject it.
 	src := `{
-  "version": 2,
+  "version": 3,
   "fineInterval": 1,
   "edges": [],
   "strides": [
@@ -195,9 +190,9 @@ func TestCodecDecodeFineIntervalMismatch(t *testing.T) {
 		!strings.Contains(err.Error(), "fine-interval mismatch") {
 		t.Fatalf("err = %v, want fine-interval mismatch", err)
 	}
-	// A v2 header that disagrees with consistent summaries is also rejected.
+	// A header that disagrees with consistent summaries is also rejected.
 	src2 := `{
-  "version": 2,
+  "version": 3,
   "fineInterval": 8,
   "edges": [],
   "strides": [{"key": {"func": "main", "id": 1}, "fineInterval": 4}]

@@ -177,9 +177,9 @@ func (p *StrideProfile) Summaries() []stride.Summary {
 	return out
 }
 
-// fileFormat is the on-disk representation of a combined profile. See
-// codec.go for the version history; FineInterval is present from version 2
-// onward.
+// fileFormat is the on-disk representation of a combined profile (see
+// codec.go); FineInterval is the header's fine-sampling interval, omitted
+// when zero.
 type fileFormat struct {
 	Version      int               `json:"version"`
 	FineInterval int               `json:"fineInterval,omitempty"`

@@ -284,11 +284,14 @@ func (s *Server) writeErr(w http.ResponseWriter, e *api.Error) {
 	}
 }
 
-// apiFromErr maps a pipeline error to the envelope: timeouts to 504,
+// apiFromErr maps a pipeline error to the envelope: an unknown figure (or
+// a table request for the text-only Figure 15) to 404, timeouts to 504,
 // client-abandoned work to 499 (the nginx convention), everything else to
 // a 500.
 func apiFromErr(err error) *api.Error {
 	switch {
+	case errors.Is(err, experiments.ErrUnknownFigure):
+		return api.Errorf(http.StatusNotFound, api.CodeUnknownFigure, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		return api.Errorf(http.StatusGatewayTimeout, api.CodeTimeout, "%v", err)
 	case errors.Is(err, context.Canceled), errors.Is(err, machine.ErrInterrupted):
@@ -334,10 +337,8 @@ func (s *Server) handleObsMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {
-	names := experiments.FigureNames()
-	names = append(names[:len(names):len(names)], experiments.ExtraFigureNames()...)
 	s.writeJSON(w, http.StatusOK, api.FigureList{
-		Figures: names,
+		Figures: experiments.AllFigureNames(),
 		Formats: []string{"text", "csv", "jsonl"},
 	})
 }
@@ -358,18 +359,14 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	// Mirror the CLI: precompute the figure's cells on the session's worker
 	// pool, then assemble the table serially from the memoised cells. The
 	// output is byte-identical either way; warming only buys parallelism.
-	if jobs := s.cfg.Experiments.Jobs; jobs != 1 && name != "15" {
+	if jobs := s.cfg.Experiments.Jobs; jobs != 1 {
 		sess.Warm(r.Context(), jobs, name)
 	}
 	switch p.Format {
 	case "text", "csv":
 		text, err := sess.FigureText(r.Context(), name, p.Format == "csv")
 		if err != nil {
-			e := apiFromErr(err)
-			if strings.Contains(err.Error(), "unknown figure") {
-				e = api.Errorf(http.StatusNotFound, api.CodeUnknownFigure, "%v", err)
-			}
-			s.writeErr(w, e)
+			s.writeErr(w, apiFromErr(err))
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -382,11 +379,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 func (s *Server) streamFigureJSONL(w http.ResponseWriter, r *http.Request, sess *experiments.Session, name string) {
 	t, err := sess.Figure(r.Context(), name)
 	if err != nil {
-		e := apiFromErr(err)
-		if strings.Contains(err.Error(), "unknown figure") || strings.Contains(err.Error(), "figure 15") {
-			e = api.Errorf(http.StatusNotFound, api.CodeUnknownFigure, "%v", err)
-		}
-		s.writeErr(w, e)
+		s.writeErr(w, apiFromErr(err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/jsonl")

@@ -66,13 +66,28 @@ func TestHealthzAndFigureListing(t *testing.T) {
 	}
 
 	code, _, body = get(t, ts.URL+"/v1/figures")
-	if code != http.StatusOK || !strings.Contains(string(body), `"16"`) {
-		t.Errorf("figures listing: %d %s", code, body)
+	if code != http.StatusOK {
+		t.Fatalf("figures listing: %d %s", code, body)
+	}
+	var list api.FigureList
+	if err := json.Unmarshal(body, &list); err != nil {
+		t.Fatal(err)
+	}
+	wantFigs := []string{"15", "16", "17", "18", "19", "20", "21", "22", "23", "24", "25", "arena", "paths"}
+	if fmt.Sprint(list.Figures) != fmt.Sprint(wantFigs) {
+		t.Errorf("figures listing = %v, want %v", list.Figures, wantFigs)
 	}
 
-	code, _, _ = get(t, ts.URL+"/v1/figure/99")
-	if code != http.StatusNotFound {
-		t.Errorf("unknown figure status = %d, want 404", code)
+	// An unknown name, and the table-only jsonl form of the text-only
+	// Figure 15, are both unknown figures.
+	for _, path := range []string{"/v1/figure/99", "/v1/figure/15?format=jsonl"} {
+		code, _, body = get(t, ts.URL+path)
+		if code != http.StatusNotFound {
+			t.Errorf("%s status = %d, want 404", path, code)
+		}
+		if e := api.DecodeErrorBody(code, body); e.Code != api.CodeUnknownFigure {
+			t.Errorf("%s error code = %q, want %q", path, e.Code, api.CodeUnknownFigure)
+		}
 	}
 	code, _, _ = get(t, ts.URL+"/v1/figure/16?workloads=999.bogus")
 	if code != http.StatusBadRequest {
