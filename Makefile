@@ -1,6 +1,8 @@
 # Tier-1 gate: `make check` is what CI (and every PR) must keep green.
 # It fails on unformatted Go files, vets, builds and tests every package,
-# then re-runs the whole tree under the race detector in short mode.
+# then re-runs the whole tree under the race detector in short mode, and
+# finally vets and tests the perfbench module (a separate Go module, so
+# the root `./...` never compiles it).
 #
 # `make check-deep` is the slower tier-2 gate: the whole tree race-enabled
 # and shuffled, a fuzz smoke pass over the seed corpora, the simcheck
@@ -11,11 +13,11 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check check-deep fmt vet build test race race-full fuzz-smoke simcheck \
-	arena paths bench bench-json bench-pairs figures figures-golden metrics serve smoke-serve \
+.PHONY: check check-deep fmt vet build test race perfbench-test race-full fuzz-smoke \
+	simcheck arena paths figures figures-golden metrics serve smoke-serve \
 	chaos chaos-replay converge walsoak clean
 
-check: fmt vet build test race
+check: fmt vet build test race perfbench-test
 
 check-deep: check
 	$(MAKE) race-full
@@ -53,6 +55,12 @@ test:
 race:
 	$(GO) test -race -short -shuffle=on ./...
 
+# The benchmark harness builds against the internal packages, so an API
+# change there must not break it unnoticed. vet rather than build: `go
+# build ./...` in a main module writes the binary into the tree.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 race-full:
 	$(GO) test -race -shuffle=on ./...
 
@@ -68,23 +76,6 @@ fuzz-smoke:
 # Differential/metamorphic property checks (see TESTING.md).
 simcheck:
 	$(GO) run ./cmd/simcheck -n 8
-
-# Interpreter micro-benchmarks, diffed against the committed baseline:
-# fails on a >10% ns/op regression when run on the baseline's host (same
-# cpu, Go version, OS and arch); against another host's baseline it prints
-# the differing fields and gives no verdict. Appends to BENCH_history.jsonl but
-# leaves BENCH_interp.json alone (refresh that with bench-json).
-bench:
-	$(GO) run ./cmd/interpbench -o /tmp/stridepf-bench.json -compare BENCH_interp.json
-
-# Refresh BENCH_interp.json with current numbers (history appended too).
-bench-json:
-	$(GO) run ./cmd/interpbench -o BENCH_interp.json
-
-# Dynamic instruction-pair frequencies over the workloads: the profile pass
-# the fused interpreter's superinstruction set is selected from.
-bench-pairs:
-	$(GO) run ./cmd/interpbench -pairs
 
 # Regenerate all paper figures (parallel across GOMAXPROCS workers).
 figures:

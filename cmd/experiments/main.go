@@ -43,6 +43,7 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -58,53 +59,74 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the command and returns its exit status. A failure is
+// reported on stderr under one "experiments:" prefix: errors from package
+// experiments already carry it. Flag errors exit during parsing, as with
+// the flag package's default command line.
+func run(argv []string, stdout, stderr io.Writer) int {
+	if err := regenerate(argv, stdout, stderr); err != nil {
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "experiments: ") {
+			msg = "experiments: " + msg
+		}
+		fmt.Fprintln(stderr, msg)
+		return 1
+	}
+	return 0
+}
+
+func regenerate(argv []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		workloadsFlag = flag.String("workloads", "", "comma-separated benchmark names (default: all)")
-		figureFlag    = flag.String("figure", "all", "figure to regenerate: all, "+strings.Join(experiments.AllFigureNames(), ", "))
-		hwpfFlag      = flag.String("hwpf", "", "attach a hardware prefetcher to every simulation: "+strings.Join(hwpf.Schemes(), ", ")+" (default: none)")
-		outFlag       = flag.String("o", "", "output file (default: stdout)")
-		csvFlag       = flag.Bool("csv", false, "emit CSV instead of aligned text (single figures only)")
-		jFlag         = flag.Int("j", 0, "number of parallel simulation workers (0 = GOMAXPROCS, 1 = serial)")
-		selfCheck     = flag.Bool("selfcheck", false, "run naive shadow models of cache and memory in lockstep with every simulation (slower; fails on the first divergence)")
-		metricsFlag   = flag.String("metrics", "", "write per-cell prefetch-effectiveness metrics (accuracy, coverage, timeliness per prefetch class) as JSON to this file")
-		traceFlag     = flag.String("trace", "", "write the prefetch-effectiveness event stream as JSON lines to this file")
-		traceSample   = flag.Int("trace-sample", 1, "keep one of every N trace events")
-		traceMax      = flag.Int("trace-max", 1<<20, "stop writing trace events after N lines (further events are counted, not written)")
-		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile    = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		workloadsFlag = fs.String("workloads", "", "comma-separated benchmark names (default: all)")
+		figureFlag    = fs.String("figure", "all", "figure to regenerate: all, "+strings.Join(experiments.AllFigureNames(), ", "))
+		hwpfFlag      = fs.String("hwpf", "", "attach a hardware prefetcher to every simulation: "+strings.Join(hwpf.Schemes(), ", ")+" (default: none)")
+		outFlag       = fs.String("o", "", "output file (default: stdout)")
+		csvFlag       = fs.Bool("csv", false, "emit CSV instead of aligned text (single figures only)")
+		jFlag         = fs.Int("j", 0, "number of parallel simulation workers (0 = GOMAXPROCS, 1 = serial)")
+		selfCheck     = fs.Bool("selfcheck", false, "run naive shadow models of cache and memory in lockstep with every simulation (slower; fails on the first divergence)")
+		metricsFlag   = fs.String("metrics", "", "write per-cell prefetch-effectiveness metrics (accuracy, coverage, timeliness per prefetch class) as JSON to this file")
+		traceFlag     = fs.String("trace", "", "write the prefetch-effectiveness event stream as JSON lines to this file")
+		traceSample   = fs.Int("trace-sample", 1, "keep one of every N trace events")
+		traceMax      = fs.Int("trace-max", 1<<20, "stop writing trace events after N lines (further events are counted, not written)")
+		cpuProfile    = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile    = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
+	fs.Parse(argv)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fatal(err)
+			f, ferr := os.Create(*memProfile)
+			if ferr != nil {
+				err = cmp.Or(err, ferr)
+				return
 			}
 			defer f.Close()
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
+			err = cmp.Or(err, pprof.WriteHeapProfile(f))
 		}()
 	}
 
-	var out io.Writer = os.Stdout
+	out := stdout
 	if *outFlag != "" {
 		f, err := os.Create(*outFlag)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		out = f
@@ -117,66 +139,66 @@ func main() {
 	}
 	if *hwpfFlag != "" {
 		if _, err := hwpf.NewScheme(*hwpfFlag, hwpf.Config{}); err != nil {
-			fatal(err)
+			return err
 		}
 		cfg.HWPF = *hwpfFlag
 	}
 
 	// finish flushes the observability sinks; every successful exit path
 	// calls it after the figures are assembled.
-	finish := func() {}
+	finish := func() error { return nil }
 	if *metricsFlag != "" {
 		cfg.Metrics = obs.NewRegistry()
 	}
 	if *traceFlag != "" {
 		f, err := os.Create(*traceFlag)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		bw := bufio.NewWriter(f)
 		cfg.Trace = obs.NewTrace(bw, obs.TraceConfig{
 			SampleEvery: *traceSample,
 			MaxEvents:   *traceMax,
 		})
-		finish = func() {
+		finish = func() error {
 			seen, written, dropped := cfg.Trace.Stats()
 			if err := bw.Flush(); err != nil {
-				fatal(err)
+				return err
 			}
 			if err := f.Close(); err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Fprintf(os.Stderr, "experiments: trace %s: %d events seen, %d written, %d dropped at the bound\n",
+			fmt.Fprintf(stderr, "experiments: trace %s: %d events seen, %d written, %d dropped at the bound\n",
 				*traceFlag, seen, written, dropped)
+			return nil
 		}
 	}
 	if *metricsFlag != "" {
 		traceDone := finish
-		finish = func() {
+		finish = func() error {
 			f, err := os.Create(*metricsFlag)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			if err := cfg.Metrics.WriteJSON(f); err != nil {
-				fatal(err)
+				return err
 			}
 			if err := f.Close(); err != nil {
-				fatal(err)
+				return err
 			}
-			traceDone()
+			return traceDone()
 		}
 	}
 
 	ctx := context.Background()
 	if *figureFlag == "all" {
 		if *csvFlag {
-			fatal(fmt.Errorf("-csv requires a single -figure"))
+			return fmt.Errorf("-csv requires a single -figure")
 		}
 		if err := experiments.RunAll(ctx, out, cfg); err != nil {
-			fatal(err)
+			return err
 		}
-		finish()
-		return
+		return finish()
 	}
 
 	s := experiments.NewSession(cfg)
@@ -185,13 +207,8 @@ func main() {
 	}
 	text, err := s.FigureText(ctx, *figureFlag, *csvFlag)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Fprint(out, text)
-	finish()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
+	return finish()
 }

@@ -13,20 +13,9 @@
 //	        [-wal-snapshot-every N] [-wal-sync]
 //	        [-chaos-seed N] [-chaos-scale F]
 //
-// Endpoints:
-//
-//	GET  /healthz                             liveness + load counters
-//	GET  /obs/metrics                         prefetch-effectiveness roll-up
-//	GET  /v1/figures                          figure and format listing
-//	GET  /v1/figure/{n}[?format=csv|jsonl][&workloads=a,b]
-//	                                          n: 15..25 or "arena" (the
-//	                                          prefetcher-arena cross product)
-//	GET  /v1/profiles                         stored aggregate listing
-//	POST /v1/profiles/batch                   upload many shards atomically
-//	                                          retryable (per-shard idem keys)
-//	POST /v1/profiles/{workload}/{config}     upload one profile shard
-//	GET  /v1/profiles/{workload}/{config}     download merged aggregate
-//	GET  /v1/classify/{workload}/{config}     classification decisions
+// API.md is the one description of the endpoints: /healthz, /obs/metrics
+// and the /v1 surface (every registered figure, profile upload and
+// download, classification and the plan/* loop), with their body types.
 //
 // With -store-dir the profile store is durable: every accepted shard is
 // appended to a checksummed write-ahead log under DIR before it merges,

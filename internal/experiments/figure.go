@@ -242,7 +242,7 @@ func (s *Session) runAll(ctx context.Context, w io.Writer) error {
 	for _, f := range selectFigures(nil) {
 		text, err := s.FigureText(ctx, f.name, false)
 		if err != nil {
-			return fmt.Errorf("figure %s: %w", f.name, err)
+			return err
 		}
 		if _, err := io.WriteString(w, text); err != nil {
 			return err

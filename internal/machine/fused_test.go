@@ -317,42 +317,3 @@ func TestRegisterMidRunNextRunContract(t *testing.T) {
 		})
 	}
 }
-
-// TestPairProfileCountsReferenceStream checks the profile pass that the
-// superinstruction set was selected from: pair counts come from the
-// unfused instruction stream, the total matches the executed instruction
-// count, and the dominant pair of a compare-driven loop is compare+branch.
-func TestPairProfileCountsReferenceStream(t *testing.T) {
-	bl := ir.NewBuilder("main")
-	head := bl.Block("head")
-	body := bl.Block("body")
-	exit := bl.Block("exit")
-	n := bl.Const(64)
-	i := bl.Const(0)
-	bl.Br(head)
-	bl.At(head)
-	bl.CondBr(bl.CmpLT(i, n), body, exit)
-	bl.At(body)
-	bl.AddITo(i, i, 1)
-	bl.Br(head)
-	bl.At(exit)
-	bl.Ret(i)
-	prog := ir.NewProgram()
-	prog.Add(bl.Finish())
-
-	pp := NewPairProfile()
-	m, err := New(prog, WithPairProfile(pp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := pp.Total(), m.Stats().Instrs; got != want {
-		t.Errorf("profile total = %d, executed instructions = %d", got, want)
-	}
-	top := pp.Top(1)
-	if len(top) != 1 || top[0].Prev != ir.OpCmpLT || top[0].Next != ir.OpCondBr {
-		t.Errorf("top pair = %+v, want CmpLT->CondBr", top)
-	}
-}

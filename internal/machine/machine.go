@@ -50,12 +50,9 @@ type Config struct {
 	MaxDepth int
 	// Seed seeds the OpRand generator.
 	Seed uint64
-	// HWPrefetch, when non-nil, observes every demand load (a hardware
-	// prefetcher model such as hwpf.RPT).
-	HWPrefetch HWPrefetcher
 	// NewHWPrefetch, when non-nil, constructs a fresh hardware prefetcher
-	// at New time and installs it as HWPrefetch (overriding any instance
-	// set there). It is a factory rather than an instance because predictor
+	// (a model such as hwpf.RPT) at New time; it observes every demand
+	// load. It is a factory rather than an instance because predictor
 	// state is per-run: the experiment session hands one shared Config to
 	// many concurrently built machines, and a stateful table shared across
 	// them would let runs contaminate each other's predictions.
@@ -98,12 +95,6 @@ type Config struct {
 	// property and the tests in fused_test.go run both and compare — so this
 	// knob exists for those checkers and for debugging, not for users.
 	DisableBlockCache bool
-	// PairProfile, when non-nil, records the dynamic frequency of adjacent
-	// opcode pairs executed within basic blocks. It implies
-	// DisableBlockCache: pair profiling is the measurement pass that decides
-	// which superinstructions the fused fast path should provide, so it runs
-	// on the unfused reference interpreter (see cmd/interpbench -pairs).
-	PairProfile *PairProfile
 }
 
 func (c *Config) fill() {
@@ -251,8 +242,9 @@ type Machine struct {
 	noPf bool
 	// intr caches Config.Interrupt for the step loops.
 	intr <-chan struct{}
-	// pairs caches Config.PairProfile for the reference loop.
-	pairs *PairProfile
+	// hwpf is the hardware prefetcher Config.NewHWPrefetch built at New
+	// time, or nil.
+	hwpf HWPrefetcher
 	// pollMark is the last Instrs>>16 epoch at which the fused loop polled
 	// Interrupt; the reference loop polls on exact 64Ki boundaries instead.
 	pollMark uint64
@@ -303,9 +295,6 @@ func New(prog *ir.Program, opts ...Option) (*Machine, error) {
 		o(&cfg)
 	}
 	cfg.fill()
-	if cfg.NewHWPrefetch != nil {
-		cfg.HWPrefetch = cfg.NewHWPrefetch()
-	}
 	if err := ir.VerifyProgram(prog); err != nil {
 		return nil, err
 	}
@@ -320,7 +309,9 @@ func New(prog *ir.Program, opts ...Option) (*Machine, error) {
 		rng:        cfg.Seed,
 		noPf:       cfg.DisablePrefetch,
 		intr:       cfg.Interrupt,
-		pairs:      cfg.PairProfile,
+	}
+	if cfg.NewHWPrefetch != nil {
+		m.hwpf = cfg.NewHWPrefetch()
 	}
 	if cfg.SelfCheck {
 		// Attach the shadows before any memory is touched (the heap and the
@@ -500,9 +491,9 @@ func (m *Machine) FinishObs() { m.Hier.FinishObs(m.cycles) }
 // Now returns the current simulated cycle.
 func (m *Machine) Now() uint64 { return m.cycles }
 
-// HWPrefetch returns the machine's hardware prefetcher (the configured
-// instance, or the one its factory built at New time), or nil.
-func (m *Machine) HWPrefetch() HWPrefetcher { return m.cfg.HWPrefetch }
+// HWPrefetch returns the hardware prefetcher Config.NewHWPrefetch built at
+// New time, or nil.
+func (m *Machine) HWPrefetch() HWPrefetcher { return m.hwpf }
 
 // Stats returns execution statistics accumulated so far.
 func (m *Machine) Stats() Stats {
@@ -560,13 +551,12 @@ func (m *Machine) Run() (ret int64, err error) {
 	// per-instruction sequencing at an observation point outside the
 	// machine: instruction tracing and hardware-prefetcher observation see
 	// individual instructions, the shadow models and the effectiveness
-	// collector want the reference access ordering, and pair profiling
-	// measures the unfused instruction stream by definition. Interrupt
-	// delivery stays on the fast path — the fused loop polls at basic-block
+	// collector want the reference access ordering. Interrupt delivery
+	// stays on the fast path — the fused loop polls at basic-block
 	// granularity, which is well inside the "few tens of thousands of
 	// instructions" promptness the Interrupt contract promises.
-	m.fast = m.cfg.Trace == nil && m.cfg.HWPrefetch == nil && !m.cfg.SelfCheck &&
-		m.cfg.Obs == nil && m.pairs == nil && !m.cfg.DisableBlockCache
+	m.fast = m.cfg.Trace == nil && m.hwpf == nil && !m.cfg.SelfCheck &&
+		m.cfg.Obs == nil && !m.cfg.DisableBlockCache
 	m.pollMark = m.stats.Instrs >> 16
 	ret, err = m.call(entry, nil, 0)
 	if err == nil && m.fault != nil {
@@ -643,8 +633,7 @@ func (m *Machine) call(c *code, args []int64, depth int) (int64, error) {
 // stepSlow is the fully observed, per-instruction interpreter: block by
 // block through refBlock, which emits a trace line per instruction (when
 // Config.Trace is set), feeds demand loads to the hardware prefetcher (when
-// Config.HWPrefetch is set) and records dynamic opcode pairs (when
-// Config.PairProfile is set). It is the semantic reference the fused fast
+// Config.NewHWPrefetch is set). It is the semantic reference the fused fast
 // path (stepfused.go) escapes to and is differentially tested against.
 func (m *Machine) stepSlow(c *code, regs []int64, depth int) (int64, error) {
 	bi := int32(0)
@@ -674,9 +663,6 @@ func (m *Machine) stepSlow(c *code, regs []int64, depth int) (int64, error) {
 func (m *Machine) refBlock(c *code, bi int32, regs []int64, depth int) (next int32, ret int64, done bool, err error) {
 	blk := c.blocks[bi]
 	ii := 0
-	// prev is the previous opcode dispatched in this block (-1 at entry),
-	// feeding the superinstruction-selection pair profile.
-	prev := int32(-1)
 	for {
 		if ii >= len(blk) {
 			return 0, 0, false, fmt.Errorf("machine: %s: block %d has no terminator", c.name, bi)
@@ -694,10 +680,6 @@ func (m *Machine) refBlock(c *code, bi int32, regs []int64, depth int) (next int
 				return 0, 0, false, ErrInterrupted
 			default:
 			}
-		}
-		if m.pairs != nil {
-			m.pairs.record(prev, d.op)
-			prev = int32(d.op)
 		}
 		if d.src != nil {
 			fmt.Fprintf(m.cfg.Trace, "%10d %s/%s: %s\n", m.cycles, c.name, c.blockNames[bi], d.src)
@@ -775,8 +757,8 @@ func (m *Machine) refBlock(c *code, bi int32, regs []int64, depth int) (next int
 			regs[d.dst] = m.Mem.Load(addr)
 			m.stats.LoadRefs++
 			c.loadCount[d.loadSlot]++
-			if m.cfg.HWPrefetch != nil {
-				m.cfg.HWPrefetch.Observe(d.pc, addr, m.Hier, m.cycles)
+			if m.hwpf != nil {
+				m.hwpf.Observe(d.pc, addr, m.Hier, m.cycles)
 			}
 		case ir.OpSpecLoad:
 			// Speculative load: non-faulting and excluded from per-load

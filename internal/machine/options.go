@@ -19,10 +19,10 @@ func WithConfig(cfg Config) Option {
 	return func(c *Config) { *c = cfg }
 }
 
-// WithHWPrefetch attaches a hardware prefetcher model observing the demand
-// load stream.
+// WithHWPrefetch attaches the hardware prefetcher model p, observing the
+// demand load stream, as a Config.NewHWPrefetch factory that returns p.
 func WithHWPrefetch(p HWPrefetcher) Option {
-	return func(c *Config) { c.HWPrefetch = p }
+	return func(c *Config) { c.NewHWPrefetch = func() HWPrefetcher { return p } }
 }
 
 // WithSelfCheck runs the naive shadow models of the cache hierarchy and
@@ -47,10 +47,4 @@ func WithObs(col *obs.Collector) Option {
 // checkers run both and compare.
 func WithDisableBlockCache() Option {
 	return func(c *Config) { c.DisableBlockCache = true }
-}
-
-// WithPairProfile records the dynamic frequency of adjacent opcode pairs
-// into p (implies the reference interpreter; see Config.PairProfile).
-func WithPairProfile(p *PairProfile) Option {
-	return func(c *Config) { c.PairProfile = p }
 }
